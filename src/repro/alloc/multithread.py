@@ -23,7 +23,10 @@ each, interleaved on one machine clock:
   (Section 4.1: the cache holds copies only, so a flush is always safe).
 
 When ``accelerated=True`` each core gets its own malloc cache (Mallacc is
-in-core state).
+in-core state): every thread view is a plain
+:class:`~repro.core.accel_allocator.MallaccTCMalloc` over the shared pools,
+so it runs the same fused fast-path and refill twins as a single-threaded
+Mallacc allocator.
 """
 
 from __future__ import annotations
@@ -35,16 +38,8 @@ from repro.alloc.constants import AllocatorConfig
 from repro.alloc.context import Machine
 from repro.alloc.page_heap import PageHeap
 from repro.alloc.size_classes import SizeClassTable
-from repro.core.accel_allocator import MallaccFastPathMixin
+from repro.core.accel_allocator import MallaccTCMalloc
 from repro.core.malloc_cache import MallocCacheConfig
-
-
-class _ThreadView(MallaccFastPathMixin, TCMalloc):
-    """One thread's accelerated view over the shared pools."""
-
-    def __init__(self, machine, config, shared, cache_config) -> None:
-        TCMalloc.__init__(self, machine=machine, config=config, shared=shared)
-        self._attach_mallacc(cache_config)
 
 
 @dataclass
@@ -93,18 +88,6 @@ class MultiThreadAllocator:
             self.machine = machine or Machine()
             self.core_machines = [self.machine] * num_threads
             self.substrate = None
-        if memoize_traces is not None:
-            # Coherent mode runs one TimingModel per core; apply to each.
-            for core in {id(m): m for m in self.core_machines}.values():
-                core.timing.set_memoization(memoize_traces)
-        if intern_traces is not None:
-            from repro.sim.trace_intern import TraceInterner
-
-            for core in {id(m): m for m in self.core_machines}.values():
-                if intern_traces and core.interner is None:
-                    core.interner = TraceInterner()
-                elif not intern_traces:
-                    core.interner = None
         self.config = config or AllocatorConfig()
         self.accelerated = accelerated
         self.context_switch_flushes = context_switch_flushes
@@ -122,17 +105,24 @@ class MultiThreadAllocator:
         self.shared = SharedPools(table=table, page_heap=page_heap, central_lists=central)
 
         self.threads: list[TCMalloc] = []
-        for tid in range(num_threads):
-            core = self.core_machines[tid]
+        for core in self.core_machines:
+            # Each view applies the memoize/intern overrides to its core
+            # (idempotently where flat-mode views alias one machine).
+            kwargs = dict(
+                machine=core, config=self.config, shared=self.shared,
+                memoize_traces=memoize_traces, intern_traces=intern_traces,
+            )
             if accelerated:
-                view = _ThreadView(core, self.config, self.shared, cache_config)
+                view = MallaccTCMalloc(cache_config=cache_config, **kwargs)
             else:
-                view = TCMalloc(machine=core, config=self.config, shared=self.shared)
+                view = TCMalloc(**kwargs)
             view.keep_records = False
             self.threads.append(view)
 
         self.owner: dict[int, int] = {}
-        """ptr -> allocating thread (diagnostics only; frees go anywhere)."""
+        """ptr -> allocating thread.  Frees may come from any thread;
+        :meth:`_free` looks the owner up here to move the live entry onto
+        the freeing thread's view, and rejects pointers it does not know."""
         self.stats = [ThreadStats() for _ in range(num_threads)]
         self.running_tid = 0
         self.context_switches = 0
@@ -264,14 +254,3 @@ class MultiThreadAllocator:
         for view in self.threads:
             view.check_conservation()
         self.shared.page_heap.check_invariants()
-
-
-# Columnar-engine refill twin for thread views: every emission hook a
-# _ThreadView inherits is the Mallacc variant (MallaccFastPathMixin), so the
-# Mallacc refill twin is its exact mirror.  No fast-path twin is registered
-# — per-thread fast paths stay on the reference emitter — but refills
-# dominate MT slow traffic and carry the lock/transfer-cache state the
-# differential grid pins.
-from repro.alloc.slowpath import MallaccSlowPath, register_slowpath  # noqa: E402
-
-register_slowpath(_ThreadView, MallaccSlowPath)

@@ -278,7 +278,8 @@ class MallaccFastPathMixin:
 
 
 class MallaccTCMalloc(MallaccFastPathMixin, TCMalloc):
-    """TCMalloc running on a Mallacc-equipped core."""
+    """TCMalloc running on a Mallacc-equipped core (``shared``: a thread
+    view over a :class:`~repro.alloc.multithread.MultiThreadAllocator`)."""
 
     def __init__(
         self,
@@ -288,11 +289,13 @@ class MallaccTCMalloc(MallaccFastPathMixin, TCMalloc):
         ablations=None,
         memoize_traces: bool | None = None,
         intern_traces: bool | None = None,
+        shared=None,
     ) -> None:
         super().__init__(
             machine=machine,
             config=config,
             ablations=ablations,
+            shared=shared,
             memoize_traces=memoize_traces,
             intern_traces=intern_traces,
         )

@@ -184,12 +184,20 @@ class LazyRingHierarchy(CacheHierarchy):
         for sigma, d in enumerate(merged):
             sets3[sigma] = dict(sorted(d.items(), key=lambda kv: kv[1]))
         self.l3._sets = sets3  # same list object; keep the alias honest
+        self._drop_lazy_state()
+
+    def _drop_lazy_state(self) -> None:
+        """Leave lazy mode for good: drop every lazy structure, rebind."""
         self._lazy = False
-        self._log_first = self._log_n = self._log_G = self._log_inner = []  # type: ignore[assignment]
-        self._ilog_first = self._ilog_n = self._ilog_G = []  # type: ignore[assignment]
+        self._log_first, self._log_n, self._log_G, self._log_inner = [], [], [], []
+        self._ilog_first, self._ilog_n, self._ilog_G = [], [], []
         self._irun_j0 = []
         self._cin_lines = [0]
         self._cin_cnt = [0]
+        self._hwm = 0
+        self._absent = {}
+        self._risk3 = {}
+        self._m1_ctx = None
         self._refresh_fast_path()
 
     def _materialize_inner(self) -> None:
@@ -851,9 +859,5 @@ class LazyRingHierarchy(CacheHierarchy):
             # A flush empties everything, so there is nothing worth keeping
             # lazy state for — and the interval L3 representation cannot
             # express "touched but flushed".  Degrade to eager.
-            self._lazy = False
-            self._log_first = self._log_n = self._log_G = self._log_inner = []  # type: ignore[assignment]
-            self._cin_lines = [0]
-            self._cin_cnt = [0]
-            self._refresh_fast_path()
+            self._drop_lazy_state()
         super().flush_all()

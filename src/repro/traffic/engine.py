@@ -398,6 +398,7 @@ def run_traffic(
         config, accelerated, cache_entries
     )
     cores = config.cores
+    clock_machine = mt.machine if mt is not None else machines[0]
     plan, detailed_measured = _sampling_plan(sessions, config.sample_stride)
     result = TrafficResult(
         workload=config.workload, flavor=flavor, config=config, plan=plan
@@ -476,58 +477,68 @@ def run_traffic(
             result.skipped_requests += 1
 
     while True:
-        busy = [c for c in range(cores) if active[c] is not None]
+        busy = sorted((vclock[i], i) for i in range(cores) if active[i] is not None)
         if not busy:
             if not pending:
                 break
             _admit(pending[0][0])
             _start_ready()
             continue
-        c = min(busy, key=lambda i: (vclock[i], i))
+        # Only a finished session or an admitted arrival can change another
+        # core's state, so the earliest core c keeps running its ops while it
+        # stays earliest by (vclock, index) against the next-earliest busy
+        # core and no pending arrival is due at the floor (then c's clock).
+        c = busy[0][1]
+        rival = busy[1] if len(busy) > 1 else None
         a = active[c]
-        op = a.session.ops[a.pos]
-        a.pos += 1
-        if op.kind is OpKind.ANTAGONIZE:
-            if mt is not None:
-                mt.antagonize()
+        ops = a.session.ops
+        core_hierarchy = (machines[c] if c < len(machines) else machines[0]).hierarchy
+        while True:
+            op = ops[a.pos]
+            a.pos += 1
+            if op.kind is OpKind.ANTAGONIZE:
+                (mt if mt is not None else machines[0].hierarchy).antagonize()
+            elif a.detailed:
+                if op.gap_cycles:
+                    clock_machine.advance(op.gap_cycles)
+                    if not op.warmup:
+                        result.app_cycles += op.gap_cycles
+                if op.app_lines:
+                    app.touch(core_hierarchy, op.app_lines)
+                if mt is not None:
+                    record = dispatch_call_mt(mt, op, slots, tid=c)
+                else:
+                    record = dispatch_call(target, op, slots)
+                if op.warmup:
+                    result.warmup_calls += 1
+                    result.warmup_cycles += record.cycles
+                else:
+                    a.alloc_cycles += record.cycles
+                    a.calls += 1
+                    result.call_cycles.append(record.cycles)
+                    detail_cycle_sum += record.cycles
+                    detail_call_count += 1
+                vclock[c] += op.gap_cycles + record.cycles
             else:
-                machines[0].hierarchy.antagonize()
-        elif a.detailed:
-            if op.gap_cycles:
-                (mt.machine if mt is not None else machines[0]).advance(
-                    op.gap_cycles
-                )
-                if not op.warmup:
-                    result.app_cycles += op.gap_cycles
-            if op.app_lines:
-                core_machine = machines[c] if c < len(machines) else machines[0]
-                app.touch(core_machine.hierarchy, op.app_lines)
-            if mt is not None:
-                record = dispatch_call_mt(mt, op, slots, tid=c)
-            else:
-                record = dispatch_call(target, op, slots)
-            if op.warmup:
-                result.warmup_calls += 1
-                result.warmup_cycles += record.cycles
-            else:
-                a.alloc_cycles += record.cycles
-                a.calls += 1
-                result.call_cycles.append(record.cycles)
-                detail_cycle_sum += record.cycles
-                detail_call_count += 1
-            vclock[c] += op.gap_cycles + record.cycles
-        else:
-            # Skipped session: functional fast-forward, exact gaps, no
-            # timing model (the machine clock does not advance).
-            _ff_dispatch(views[c if c < len(views) else 0], op, slots)
-            if op.kind is not OpKind.ANTAGONIZE:
+                # Skipped session: functional fast-forward, exact gaps, no
+                # timing model (the machine clock does not advance).
+                _ff_dispatch(views[c if c < len(views) else 0], op, slots)
                 a.calls += 1
                 a.gap_cycles += op.gap_cycles
                 vclock[c] += op.gap_cycles
-        if a.pos == len(a.session.ops):
-            _finish(c)
-        floor = min(vclock[i] for i in range(cores) if active[i] is not None) \
-            if any(s is not None for s in active) else vclock[c]
+            if a.pos == len(ops):
+                _finish(c)
+                break
+            v = vclock[c]
+            if rival is not None and (v, c) > rival:
+                break
+            if pending and pending[0][0] <= v:
+                break
+        # Every other busy core's clock is unchanged, so the floor (earliest
+        # busy clock) is c's or its rival's; a finished c leaves the rival's.
+        floor = vclock[c]
+        if rival is not None and (active[c] is None or rival[0] < floor):
+            floor = rival[0]
         _admit(floor)
         _start_ready()
 

@@ -55,6 +55,64 @@ class TestRegistry:
             assert MallaccTCMalloc()._fastpath is None
 
 
+#: TCMalloc-family types that deliberately run without a twin, with the
+#: twin kinds they lack.  A new exact-type subclass must either register its
+#: twins or be listed here — otherwise it silently drops to the emitter.
+UNTWINNED = {
+    "DebugAllocator": {"fast", "slow"},  # canary/poison hooks must run
+    "Jemalloc": {"slow"},  # fill/flush tcache refills have no fused twin
+    "MallaccJemalloc": {"fast", "slow"},  # generality demo, emitter only
+}
+
+
+def _timed_allocators():
+    """Every allocator the timed executors construct, by executor."""
+    from repro.alloc.multithread import MultiThreadAllocator
+    from repro.harness.experiments import make_baseline, make_mallacc
+    from repro.traffic import TrafficConfig
+    from repro.traffic.engine import _make_allocators
+
+    yield "make_baseline", [make_baseline()]
+    yield "make_mallacc", [make_mallacc()]
+    for accelerated in (False, True):
+        for coherent in (False, True):
+            mt = MultiThreadAllocator(2, accelerated=accelerated, coherent=coherent)
+            yield f"mt(accelerated={accelerated}, coherent={coherent})", mt.threads
+        for cores in (1, 4):
+            config = TrafficConfig(workload="tp_small", cores=cores)
+            views = _make_allocators(config, accelerated, 32)[2]
+            yield f"traffic(accelerated={accelerated}, cores={cores})", views
+
+
+def _repro_subclasses(cls):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("repro."):
+            yield sub
+        yield from _repro_subclasses(sub)
+
+
+class TestTwinCoverage:
+    def test_timed_executors_build_twinned_allocators(self):
+        with _engine(None):
+            for executor, views in _timed_allocators():
+                for view in views:
+                    kind = type(view).__name__
+                    assert view._fastpath is not None, (executor, kind)
+                    assert view._slowpath is not None, (executor, kind)
+
+    def test_every_tcmalloc_type_is_twinned_or_exempt(self):
+        from repro.alloc import fastpath, jemalloc, slowpath
+
+        jemalloc.make_mallacc_jemalloc()  # defines the lazy class
+        for cls in (TCMalloc, *_repro_subclasses(TCMalloc)):
+            missing = {
+                kind for kind, registry in (
+                    ("fast", fastpath._REGISTRY), ("slow", slowpath._REGISTRY)
+                ) if cls not in registry
+            }
+            assert missing == UNTWINNED.get(cls.__name__, set()), cls.__qualname__
+
+
 def _churn(alloc, sizes=(16, 48, 128, 16, 96, 16, 16)):
     """A tiny mixed malloc/free stream; returns the observable records."""
     out = []

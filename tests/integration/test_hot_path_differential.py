@@ -191,19 +191,48 @@ def _mt_observable(result):
     }
 
 
+def _mcache_state(view):
+    """A thread view's malloc-cache counters (accelerated views only)."""
+    cache = getattr(view, "malloc_cache", None)
+    if cache is None:
+        return None
+    return dict(vars(cache.stats))
+
+
 class TestMultithreaded:
-    @pytest.mark.parametrize("coherent", [False, True])
-    def test_bit_identical(self, coherent):
+    @pytest.mark.parametrize(
+        "accelerated,coherent",
+        [(False, False), (False, True), (True, False), (True, True)],
+        # Baseline ids stay the bare ``coherent`` value they always had.
+        ids=["False", "True", "accelerated-False", "accelerated-True"],
+    )
+    def test_bit_identical(self, accelerated, coherent):
+        """A short preemption quantum fires context switches (and with them
+        per-core malloc-cache flushes) mid-stream, so the accelerated thread
+        views' fast-path twins must resume from flushed caches exactly as
+        the reference emitter does."""
         workload = balanced_churn(4)
         outs = []
         for engine, impl, intern in GRID:
             with _engine_env(engine, impl):
-                mt = MultiThreadAllocator(4, coherent=coherent, intern_traces=intern)
-                result = run_multithreaded(
-                    mt, workload.ops(seed=7, num_ops=500), name=workload.name
+                mt = MultiThreadAllocator(
+                    4, coherent=coherent, accelerated=accelerated,
+                    switch_quantum_cycles=5000, intern_traces=intern,
                 )
-            outs.append(_mt_observable(result))
+                result = run_multithreaded(
+                    mt, workload.ops(seed=7, num_ops=1500), name=workload.name
+                )
+            twinned = [v._fastpath is not None for v in mt.threads]
+            assert all(twinned) == (engine is None), engine
+            outs.append({
+                **_mt_observable(result),
+                "switches": mt.context_switches,
+                "mcache": [_mcache_state(v) for v in mt.threads],
+            })
         assert all(o == outs[0] for o in outs[1:])
+        assert outs[0]["switches"] >= 20
+        if accelerated:
+            assert all(m["flushes"] > 0 for m in outs[0]["mcache"])
 
 
 def _refill_gen(seed, num_ops):
@@ -458,31 +487,39 @@ class TestSampled:
 class TestTraffic:
     def test_traffic_engine_bit_identical(self):
         """The open-loop traffic engine dispatches through the same timing
-        path; per-call cycles and aggregate accounting must agree across
-        engines, including on multiple cores with stochastic arrivals."""
+        path; per-call cycles, per-request placement and aggregate
+        accounting must agree across engines, including on multiple cores
+        with stochastic arrivals and on accelerated thread views (whose
+        fused twins run only under the columnar engine)."""
         from repro.traffic import TrafficConfig, run_traffic
 
         configs = [
-            TrafficConfig(
+            (TrafficConfig(
                 workload="tp_small", arrival="constant", rps=50.0,
                 duration_s=1.0, clock_hz=1_000_000.0, cores=1,
                 ops_per_request=24, seed=7, session_mode="stream",
                 total_ops=300,
-            ),
-            TrafficConfig(
+            ), False),
+            (TrafficConfig(
                 workload="xapian.abstracts", arrival="poisson", rps=200.0,
                 duration_s=0.5, clock_hz=1_000_000.0, cores=2,
                 ops_per_request=16, seed=9, total_ops=240,
-            ),
+            ), False),
+            (TrafficConfig(
+                workload="xapian.abstracts", arrival="poisson", rps=400.0,
+                duration_s=0.5, clock_hz=1_000_000.0, cores=4,
+                ops_per_request=16, seed=9, total_ops=480,
+            ), True),
         ]
-        for config in configs:
+        for config, accelerated in configs:
             outs = []
             for engine in (None, "reference"):
                 with _engine_env(engine, None):
-                    res = run_traffic(config)
+                    res = run_traffic(config, accelerated=accelerated)
                 outs.append(
                     (
                         res.call_cycles,
+                        [(q.core, q.start, q.completion) for q in res.requests],
                         res.alloc_cycles,
                         res.app_cycles,
                         res.contention_cycles,
@@ -490,7 +527,9 @@ class TestTraffic:
                         res.warmup_calls,
                     )
                 )
-            assert outs[0] == outs[1], config.workload
+            assert outs[0] == outs[1], (config.workload, config.cores)
+            if config.cores > 1:
+                assert len({core for core, _, _ in outs[0][1]}) > 1
 
 
 class TestSweep:

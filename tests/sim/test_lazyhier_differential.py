@@ -169,3 +169,57 @@ class TestL2SurvivalGuard:
         assert decisions, "stream no longer reaches the inclusion guard"
         assert (True in decisions) == expect_pass
         assert (False in decisions) == expect_refuse
+
+
+def _lazy_leftovers(h):
+    """Every lazy-only structure that is still holding state."""
+    left = {
+        name: getattr(h, name)
+        for name in (
+            "_log_first", "_log_n", "_log_G", "_log_inner",
+            "_ilog_first", "_ilog_n", "_ilog_G", "_irun_j0",
+            "_absent", "_risk3", "_hwm", "_m1_ctx",
+        )
+        if getattr(h, name)
+    }
+    if h._cin_lines != [0] or h._cin_cnt != [0]:
+        left["prefix sums"] = (h._cin_lines, h._cin_cnt)
+    return left
+
+
+class TestLeavingLazyMode:
+    """``flush_all`` and ``_degrade`` both leave lazy mode for good; neither
+    may keep the burst log, its inner mirror, the ring-residency sets or
+    the L3 risk set alive afterwards — and the eager hierarchy they leave
+    behind must keep matching the reference one."""
+
+    def _drive(self, ref, lazy, rounds):
+        sigma3 = 77
+        pressure = [
+            (ALLOC_BASE + ((sigma3 - (ALLOC_BASE >> 6)) % 8192) * 64) + k * 8192 * 64
+            for k in range(22)
+        ]
+        offset = 0
+        for i in range(rounds):
+            lines = (300, 1000, 5000)[i % 3]
+            for h in (ref, lazy):
+                h.touch_lines(RING_BASE + offset, lines)
+            offset = (offset + lines * 64) % RING_BYTES
+            for addr in pressure:
+                assert ref.demand_access(addr) == lazy.demand_access(addr)
+        assert _counters(ref) == _counters(lazy)
+
+    @pytest.mark.parametrize("leave", ["flush_all", "_degrade"])
+    def test_nothing_lazy_survives(self, leave):
+        ref, lazy = CacheHierarchy(), LazyRingHierarchy()
+        self._drive(ref, lazy, 60)
+        left = _lazy_leftovers(lazy)
+        for name in ("_ilog_first", "_irun_j0", "_absent", "_risk3"):
+            assert name in left, f"stream never populated {name}"
+        getattr(lazy, leave)()
+        if leave == "flush_all":
+            ref.flush_all()
+        assert not lazy._lazy
+        assert _lazy_leftovers(lazy) == {}
+        self._drive(ref, lazy, 12)
+        assert _contents(ref) == _contents(lazy)

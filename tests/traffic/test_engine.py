@@ -176,3 +176,102 @@ def test_stream_sessions_cover_stream_in_order():
     sessions = stream_sessions(workload, 100, 24, seed=11)
     flattened = [op for s in sessions for op in s.ops]
     assert flattened == raw
+
+
+def _op_at_a_time(sessions, arrivals, cores, cost):
+    """The scheduler's specification, one op per pick: join-shortest-queue
+    admission, then the busy core earliest by (virtual clock, index) runs
+    one op, then arrivals due at the floor are admitted and idle cores
+    start.  Returns the (core, op) dispatch order and, per session index,
+    its (core, start, completion)."""
+    from collections import deque
+
+    from repro.workloads.base import OpKind
+
+    vclock = [0] * cores
+    queues = [deque() for _ in range(cores)]
+    active = [None] * cores
+    pending = deque(zip(arrivals, sessions))
+    order, placed = [], {}
+
+    def admit(now):
+        while pending and pending[0][0] <= now:
+            c = min(
+                range(cores),
+                key=lambda i: (len(queues[i]) + (active[i] is not None), i),
+            )
+            queues[c].append(pending.popleft())
+
+    def start():
+        for c in range(cores):
+            if active[c] is None and queues[c]:
+                arrival, sess = queues[c].popleft()
+                vclock[c] = max(arrival, vclock[c])
+                active[c] = [sess, 0, vclock[c]]
+
+    while True:
+        busy = [c for c in range(cores) if active[c] is not None]
+        if not busy:
+            if not pending:
+                return order, placed
+            admit(pending[0][0])
+            start()
+            continue
+        c = min(busy, key=lambda i: (vclock[i], i))
+        sess, pos, begin = active[c]
+        op = sess.ops[pos]
+        active[c][1] += 1
+        if op.kind is not OpKind.ANTAGONIZE:
+            order.append((c, op))
+            vclock[c] += op.gap_cycles + cost(op)
+        if pos + 1 == len(sess.ops):
+            placed[sess.index] = (c, begin, vclock[c])
+            active[c] = None
+        still_busy = [vclock[i] for i in busy if active[i] is not None]
+        admit(min(still_busy) if still_busy else vclock[c])
+        start()
+
+
+@pytest.mark.parametrize("workload,arrival,rps,duration,cores,ops,cost", [
+    # Constant service and arrivals: many equal virtual clocks, so the
+    # (clock, index) tie-break decides most picks.
+    ("tp_small", "constant", 2000.0, 0.05, 3, 12, lambda op: 400),
+    # Varied service under Poisson overload: long queues, frequent lead
+    # changes between cores, arrivals due in the middle of a run of ops.
+    ("tp_small", "poisson", 3000.0, 0.05, 3, 12,
+     lambda op: 50 + (op.size * 7 + op.slot * 13) % 900),
+    # Short sessions at moderate load: cores finish with empty queues and
+    # arrivals land between one core's finish and its rival's clock.
+    ("xapian.abstracts", "poisson", 400.0, 0.2, 4, 4,
+     lambda op: 50 + (op.size * 7 + op.slot * 13) % 900),
+], ids=["ties", "overload", "idle-gaps"])
+def test_batched_scheduler_matches_op_at_a_time(
+    monkeypatch, workload, arrival, rps, duration, cores, ops, cost
+):
+    """``run_traffic`` keeps running the earliest core's ops in a batch; the
+    dispatch order and every request's placement must equal the one-op-
+    per-pick specification above.  Service times are made a pure function
+    of the op so the specification can be replayed without an allocator."""
+    from types import SimpleNamespace
+
+    import repro.traffic.engine as engine
+
+    config = TrafficConfig(
+        workload=workload, arrival=arrival, rps=rps, duration_s=duration,
+        clock_hz=1_000_000.0, cores=cores, ops_per_request=ops, seed=5,
+    )
+    sessions, arrivals = build_sessions(config)
+    order = []
+
+    def fake_dispatch(mt, op, slots, tid):
+        order.append((tid, op))
+        return SimpleNamespace(cycles=cost(op))
+
+    monkeypatch.setattr(engine, "dispatch_call_mt", fake_dispatch)
+    res = run_traffic(config, sessions=sessions, arrivals=arrivals)
+    want_order, want_placed = _op_at_a_time(sessions, arrivals, cores, cost)
+    assert order == want_order
+    got = {r.index: (r.core, r.start, r.completion) for r in res.requests}
+    assert got == want_placed
+    assert len({core for core, _, _ in got.values()}) == cores
+    assert any(r.start > r.arrival for r in res.requests), "no queueing"
