@@ -5,11 +5,13 @@ Measures two things on the tab02 workload set and writes both to
 
 * **trace replay** — the headline number: wall-clock to schedule the
   captured trace population (every trace the trimmed tab02 replay sends to
-  ``TimingModel.run``, across two trial seeds, baseline and Mallacc) with
-  memoization on vs off.  This isolates the tentpole: the scheduler itself.
-* **end-to-end** — ``compare_workload`` wall-clock with memoization on vs
-  off (application cache-traffic modeling disabled so the simulator core,
-  not the app-traffic stream, is what's timed).
+  ``TimingModel.run``, across two trial seeds, baseline and Mallacc)
+  through the memo (``TimingModel.run``) vs the pure scheduler
+  (``TimingModel._schedule``).  This isolates the scheduler itself.
+* **end-to-end** — baseline-then-Mallacc replay wall-clock with the memo
+  vs with every allocator's ``run``/``run_ablated`` patched onto the pure
+  scheduler (application cache-traffic modeling disabled so the simulator
+  core, not the app-traffic stream, is what's timed).
 
 Both configurations produce bit-identical cycle counts — asserted here and,
 exhaustively, by ``tests/integration/test_trace_cache_differential.py``.
@@ -30,7 +32,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import pytest
 
-from repro.harness.experiments import compare_workload, make_baseline, make_mallacc
+from repro.harness.experiments import make_baseline, make_mallacc
 from repro.harness.runner import run_workload
 from repro.sim.timing import CoreConfig, TimingModel
 from repro.workloads import MACRO_WORKLOADS
@@ -51,10 +53,7 @@ def _capture_traces():
         workload = MACRO_WORKLOADS[name]
         for seed in TRIM_SEEDS:
             ops = list(workload.ops(seed=seed, num_ops=TRIM_OPS))
-            for alloc in (
-                make_baseline(memoize_traces=False),
-                make_mallacc(memoize_traces=False),
-            ):
+            for alloc in (make_baseline(), make_mallacc()):
                 original = alloc.machine.timing.run
 
                 def spy(trace, _original=original):
@@ -90,10 +89,10 @@ def _time_trace_replay(traces, repeats=2):
     unmemoized = memoized = None
     warm = None
     for _ in range(repeats):
-        cold = TimingModel(CoreConfig(trace_cache_entries=0))
+        cold = TimingModel(CoreConfig())
         with _gc_paused():
             t0 = time.perf_counter()
-            unmemoized = [cold.run(t).cycles for t in traces]
+            unmemoized = [cold._schedule(t).cycles for t in traces]
             seconds_off = min(seconds_off, time.perf_counter() - t0)
 
         warm = TimingModel(CoreConfig())
@@ -108,24 +107,30 @@ def _time_trace_replay(traces, repeats=2):
         "seconds_unmemoized": round(seconds_off, 4),
         "seconds_memoized": round(seconds_on, 4),
         "speedup": round(seconds_off / seconds_on, 2),
-        "hit_rate": round(warm.cache_stats.hit_rate, 4),
+        "hit_rate": round(warm.hits / (warm.hits + warm.misses), 4),
     }
+
+
+def _unmemoized(timing):
+    """Instance patch: route ``timing``'s memoized entry points to the pure
+    scheduler, so every call is scheduled from scratch."""
+    timing.run = timing._schedule
+    timing.run_ablated = lambda trace, tags: timing._schedule(trace.without_tags(tags))
 
 
 def _time_end_to_end():
     def replay(memoize):
         with _gc_paused():
             t0 = time.perf_counter()
-            results = {
-                name: compare_workload(
-                    MACRO_WORKLOADS[name],
-                    num_ops=TRIM_OPS,
-                    seed=TRIM_SEEDS[0],
-                    model_app_traffic=False,
-                    memoize_traces=memoize,
-                )
-                for name in TRIM_WORKLOADS
-            }
+            results = {}
+            for name in TRIM_WORKLOADS:
+                ops = list(MACRO_WORKLOADS[name].ops(seed=TRIM_SEEDS[0], num_ops=TRIM_OPS))
+                runs = []
+                for alloc in (make_baseline(), make_mallacc()):
+                    if not memoize:
+                        _unmemoized(alloc.machine.timing)
+                    runs.append(run_workload(alloc, ops, name=name, model_app_traffic=False))
+                results[name] = runs
             return time.perf_counter() - t0, results
 
     seconds_off, off = replay(False)
@@ -135,18 +140,12 @@ def _time_end_to_end():
     seconds_on = min(seconds_on, replay(True)[0])
 
     identical = all(
-        [r.cycles for r in off[name].baseline.records]
-        == [r.cycles for r in on[name].baseline.records]
-        and [r.cycles for r in off[name].mallacc.records]
-        == [r.cycles for r in on[name].mallacc.records]
-        and [r.ablated for r in off[name].baseline.records]
-        == [r.ablated for r in on[name].baseline.records]
+        [(r.cycles, r.ablated) for r in a.records] == [(r.cycles, r.ablated) for r in b.records]
         for name in TRIM_WORKLOADS
+        for a, b in zip(off[name], on[name])
     )
-    hits = sum(c.baseline.trace_cache_hits + c.mallacc.trace_cache_hits for c in on.values())
-    lookups = sum(
-        c.baseline.trace_cache_lookups + c.mallacc.trace_cache_lookups for c in on.values()
-    )
+    hits = sum(r.trace_cache_hits for runs in on.values() for r in runs)
+    lookups = sum(r.trace_cache_lookups for runs in on.values() for r in runs)
     return {
         "seconds_unmemoized": round(seconds_off, 4),
         "seconds_memoized": round(seconds_on, 4),
@@ -171,9 +170,11 @@ def main() -> dict:
         "end_to_end": end_to_end,
         "notes": (
             "trace_replay times TimingModel.run over the captured tab02 trace "
-            "population (the tentpole's target); end_to_end times full "
-            "compare_workload replays with app-traffic modeling off.  Cycle "
-            "counts are bit-identical in every configuration."
+            "population through the memo vs the pure scheduler; end_to_end "
+            "times baseline-then-Mallacc replays with the memo vs with run/"
+            "run_ablated patched onto the pure scheduler, app-traffic "
+            "modeling off.  Cycle counts are bit-identical in every "
+            "configuration."
         ),
     }
     OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")

@@ -9,8 +9,6 @@ Scale knobs (environment):
 
 * ``REPRO_BENCH_OPS``   — ops per workload run (default 3000)
 * ``REPRO_BENCH_TRIALS`` — trials for the Table 2 t-tests (default 4)
-* ``REPRO_TRACE_CACHE`` — "0" disables trace-scheduling memoization
-  (results are bit-identical; only wall-clock changes)
 """
 
 import os
@@ -25,7 +23,6 @@ from repro.workloads import MACRO_WORKLOADS
 
 BENCH_OPS = int(os.environ.get("REPRO_BENCH_OPS", "3000"))
 BENCH_TRIALS = int(os.environ.get("REPRO_BENCH_TRIALS", "4"))
-TRACE_CACHE = os.environ.get("REPRO_TRACE_CACHE", "1") != "0"
 
 #: Order the paper's figures list workloads in (bottom-up in the bar charts).
 WORKLOAD_ORDER = [
@@ -45,10 +42,7 @@ def macro_comparisons():
     """Baseline-vs-Mallacc comparisons for all eight macro workloads,
     32-entry malloc cache (the paper's headline configuration)."""
     return {
-        name: compare_workload(
-            MACRO_WORKLOADS[name], num_ops=BENCH_OPS, seed=1,
-            memoize_traces=TRACE_CACHE,
-        )
+        name: compare_workload(MACRO_WORKLOADS[name], num_ops=BENCH_OPS, seed=1)
         for name in WORKLOAD_ORDER
     }
 

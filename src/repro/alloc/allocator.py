@@ -111,16 +111,11 @@ class TCMalloc:
         config: AllocatorConfig | None = None,
         ablations: dict[str, frozenset[Tag]] | None = None,
         shared: "SharedPools | None" = None,
-        memoize_traces: bool | None = None,
         intern_traces: bool | None = None,
     ) -> None:
         self.machine = machine or Machine()
         self.config = config or AllocatorConfig()
         self.ablations = dict(ablations or {})
-        if memoize_traces is not None:
-            # Explicit override of the machine's trace-scheduling memoization
-            # (None leaves the CoreConfig default in place).
-            self.machine.timing.set_memoization(memoize_traces)
         if intern_traces is not None:
             # Explicit override of the machine's emission-side interning
             # (None leaves the REPRO_TRACE_INTERN default in place).
@@ -606,9 +601,3 @@ class TCMalloc:
     @property
     def live_bytes(self) -> int:
         return sum(size for size, _ in self.live.values())
-
-    @property
-    def trace_cache_stats(self):
-        """Trace-scheduling memoization stats of this core, or ``None`` when
-        memoization is disabled."""
-        return self.machine.timing.cache_stats

@@ -141,14 +141,12 @@ class Jemalloc(TCMalloc):
         machine: Machine | None = None,
         config: AllocatorConfig | None = None,
         ablations=None,
-        memoize_traces: bool | None = None,
         intern_traces: bool | None = None,
     ) -> None:
         super().__init__(
             machine=machine,
             config=config,
             ablations=ablations,
-            memoize_traces=memoize_traces,
             intern_traces=intern_traces,
         )
         # Swap the size-class table for jemalloc's, regenerating the pools
@@ -216,7 +214,6 @@ def make_mallacc_jemalloc(
     config: AllocatorConfig | None = None,
     cache_config=None,
     ablations=None,
-    memoize_traces: bool | None = None,
     intern_traces: bool | None = None,
 ):
     """Build a jemalloc accelerated by the *unchanged* Mallacc fast path.
@@ -234,7 +231,6 @@ def make_mallacc_jemalloc(
                 machine=machine,
                 config=config,
                 ablations=ablations,
-                memoize_traces=memoize_traces,
                 intern_traces=intern_traces,
             )
             self._attach_mallacc(cache_config)

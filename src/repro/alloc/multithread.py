@@ -73,7 +73,6 @@ class MultiThreadAllocator:
         context_switch_flushes: bool = True,
         switch_quantum_cycles: int = 1_000_000,
         coherent: bool = False,
-        memoize_traces: bool | None = None,
         intern_traces: bool | None = None,
     ) -> None:
         if num_threads < 1:
@@ -106,11 +105,11 @@ class MultiThreadAllocator:
 
         self.threads: list[TCMalloc] = []
         for core in self.core_machines:
-            # Each view applies the memoize/intern overrides to its core
+            # Each view applies the intern override to its core
             # (idempotently where flat-mode views alias one machine).
             kwargs = dict(
                 machine=core, config=self.config, shared=self.shared,
-                memoize_traces=memoize_traces, intern_traces=intern_traces,
+                intern_traces=intern_traces,
             )
             if accelerated:
                 view = MallaccTCMalloc(cache_config=cache_config, **kwargs)

@@ -40,11 +40,9 @@ from repro.sim.memory import NULL
 from repro.sim.trace_intern import TraceInterner
 
 
-def _apply_engine_overrides(machine, memoize_traces, intern_traces) -> None:
-    """Mirror TCMalloc.__init__'s explicit engine overrides for the adapted
-    allocators (None leaves the machine defaults in place)."""
-    if memoize_traces is not None:
-        machine.timing.set_memoization(memoize_traces)
+def _apply_intern_override(machine, intern_traces) -> None:
+    """Mirror TCMalloc.__init__'s explicit interning override for the adapted
+    allocators (None leaves the machine default in place)."""
     if intern_traces is not None:
         if intern_traces and machine.interner is None:
             machine.interner = TraceInterner()
@@ -69,7 +67,6 @@ class TimedHoard:
         machine: Machine | None = None,
         config: AllocatorConfig | None = None,
         ablations=None,
-        memoize_traces: bool | None = None,
         intern_traces: bool | None = None,
         num_heaps: int = 1,
         inner_factory: Callable[..., HoardAllocator] = HoardAllocator,
@@ -79,7 +76,7 @@ class TimedHoard:
         )
         self.machine = self.inner.machine
         self.config = self.inner.config
-        _apply_engine_overrides(self.machine, memoize_traces, intern_traces)
+        _apply_intern_override(self.machine, intern_traces)
         self.records: list[CallRecord] = []
         self.keep_records: bool = True
 
@@ -202,7 +199,6 @@ class TimedBuddy:
         machine: Machine | None = None,
         config: AllocatorConfig | None = None,
         ablations=None,
-        memoize_traces: bool | None = None,
         intern_traces: bool | None = None,
     ) -> None:
         self.inner = BuddyAllocator(
@@ -210,7 +206,7 @@ class TimedBuddy:
         )
         self.machine = self.inner.machine
         self.config = self.inner.config
-        _apply_engine_overrides(self.machine, memoize_traces, intern_traces)
+        _apply_intern_override(self.machine, intern_traces)
         self.records: list[CallRecord] = []
         self.keep_records: bool = True
 
@@ -408,31 +404,28 @@ class AllocatorSpec:
     """True when a Mallacc flavour exists, enabling baseline-vs-accelerated
     comparisons (``repro run`` / ``matrix`` / ``tune``)."""
     baseline: Callable[..., object]
-    """(machine, config, ablations, memoize_traces, intern_traces) ->
-    standard-API allocator."""
+    """(machine, config, ablations, intern_traces) -> standard-API
+    allocator."""
     mallacc: Callable[..., object] | None
-    """(machine, config, cache_config, ablations, memoize_traces,
-    intern_traces) -> accelerated standard-API allocator, or None."""
+    """(machine, config, cache_config, ablations, intern_traces) ->
+    accelerated standard-API allocator, or None."""
     multithreaded: Callable[..., object]
     """(num_threads, machine, config) -> MT-API allocator."""
 
 
-def _tcmalloc_baseline(machine=None, config=None, ablations=None,
-                       memoize_traces=None, intern_traces=None):
+def _tcmalloc_baseline(machine=None, config=None, ablations=None, intern_traces=None):
     return TCMalloc(
-        machine=machine, config=config, ablations=ablations,
-        memoize_traces=memoize_traces, intern_traces=intern_traces,
+        machine=machine, config=config, ablations=ablations, intern_traces=intern_traces
     )
 
 
 def _tcmalloc_mallacc(machine=None, config=None, cache_config=None,
-                      ablations=None, memoize_traces=None, intern_traces=None):
+                      ablations=None, intern_traces=None):
     from repro.core.accel_allocator import MallaccTCMalloc
 
     return MallaccTCMalloc(
         machine=machine, config=config, cache_config=cache_config,
-        ablations=ablations, memoize_traces=memoize_traces,
-        intern_traces=intern_traces,
+        ablations=ablations, intern_traces=intern_traces,
     )
 
 
@@ -442,20 +435,17 @@ def _tcmalloc_mt(num_threads, machine=None, config=None):
     return MultiThreadAllocator(num_threads, machine=machine, config=config)
 
 
-def _jemalloc_baseline(machine=None, config=None, ablations=None,
-                       memoize_traces=None, intern_traces=None):
+def _jemalloc_baseline(machine=None, config=None, ablations=None, intern_traces=None):
     return Jemalloc(
-        machine=machine, config=config, ablations=ablations,
-        memoize_traces=memoize_traces, intern_traces=intern_traces,
+        machine=machine, config=config, ablations=ablations, intern_traces=intern_traces
     )
 
 
 def _jemalloc_mallacc(machine=None, config=None, cache_config=None,
-                      ablations=None, memoize_traces=None, intern_traces=None):
+                      ablations=None, intern_traces=None):
     return make_mallacc_jemalloc(
         machine=machine, config=config, cache_config=cache_config,
-        ablations=ablations, memoize_traces=memoize_traces,
-        intern_traces=intern_traces,
+        ablations=ablations, intern_traces=intern_traces,
     )
 
 
@@ -465,11 +455,9 @@ def _jemalloc_mt(num_threads, machine=None, config=None):
     )
 
 
-def _hoard_baseline(machine=None, config=None, ablations=None,
-                    memoize_traces=None, intern_traces=None):
+def _hoard_baseline(machine=None, config=None, ablations=None, intern_traces=None):
     return TimedHoard(
-        machine=machine, config=config, ablations=ablations,
-        memoize_traces=memoize_traces, intern_traces=intern_traces,
+        machine=machine, config=config, ablations=ablations, intern_traces=intern_traces
     )
 
 
@@ -477,11 +465,9 @@ def _hoard_mt(num_threads, machine=None, config=None):
     return HoardMultiThread(num_threads, machine=machine, config=config)
 
 
-def _buddy_baseline(machine=None, config=None, ablations=None,
-                    memoize_traces=None, intern_traces=None):
+def _buddy_baseline(machine=None, config=None, ablations=None, intern_traces=None):
     return TimedBuddy(
-        machine=machine, config=config, ablations=ablations,
-        memoize_traces=memoize_traces, intern_traces=intern_traces,
+        machine=machine, config=config, ablations=ablations, intern_traces=intern_traces
     )
 
 

@@ -287,7 +287,6 @@ class MallaccTCMalloc(MallaccFastPathMixin, TCMalloc):
         config: AllocatorConfig | None = None,
         cache_config: MallocCacheConfig | None = None,
         ablations=None,
-        memoize_traces: bool | None = None,
         intern_traces: bool | None = None,
         shared=None,
     ) -> None:
@@ -296,7 +295,6 @@ class MallaccTCMalloc(MallaccFastPathMixin, TCMalloc):
             config=config,
             ablations=ablations,
             shared=shared,
-            memoize_traces=memoize_traces,
             intern_traces=intern_traces,
         )
         self._attach_mallacc(cache_config)

@@ -91,7 +91,6 @@ class WorkloadComparison:
 
 def make_baseline(
     config: AllocatorConfig | None = None,
-    memoize_traces: bool | None = None,
     intern_traces: bool | None = None,
     allocator: str = "tcmalloc",
 ) -> TCMalloc:
@@ -104,7 +103,6 @@ def make_baseline(
     return get_allocator(allocator).baseline(
         config=config,
         ablations={LIMIT_ABLATION: LIMIT_STUDY_TAGS},
-        memoize_traces=memoize_traces,
         intern_traces=intern_traces,
     )
 
@@ -113,7 +111,6 @@ def make_mallacc(
     cache_entries: int = 32,
     config: AllocatorConfig | None = None,
     cache_config: MallocCacheConfig | None = None,
-    memoize_traces: bool | None = None,
     intern_traces: bool | None = None,
     allocator: str = "tcmalloc",
 ) -> MallaccTCMalloc:
@@ -129,7 +126,6 @@ def make_mallacc(
     return spec.mallacc(
         config=config,
         cache_config=cache_config,
-        memoize_traces=memoize_traces,
         intern_traces=intern_traces,
     )
 
@@ -142,20 +138,16 @@ def compare_workload(
     config: AllocatorConfig | None = None,
     cache_config: MallocCacheConfig | None = None,
     model_app_traffic: bool = True,
-    memoize_traces: bool | None = None,
     intern_traces: bool | None = None,
     ops: Sequence[Op] | None = None,
     allocator: str = "tcmalloc",
 ) -> WorkloadComparison:
     """Run one workload under baseline and Mallacc and compare.
 
-    ``memoize_traces`` toggles trace-scheduling memoization on both runs
-    (``None`` keeps the :class:`~repro.sim.timing.CoreConfig` default, which
-    is on); ``intern_traces`` toggles emission-template interning the same
-    way (``None`` keeps the ``REPRO_TRACE_INTERN`` default, also on).
-    Results are bit-identical under any combination — the differential
-    sweeps in ``tests/integration/test_trace_cache_differential.py`` and
-    ``tests/integration/test_hot_path_differential.py`` enforce it.
+    ``intern_traces`` toggles emission-template interning on both runs
+    (``None`` keeps the ``REPRO_TRACE_INTERN`` default, which is on).
+    Results are bit-identical either way — the differential sweep in
+    ``tests/integration/test_hot_path_differential.py`` enforces it.
 
     ``ops`` injects a pre-generated stream instead of generating one from
     ``(seed, num_ops)`` — it must equal ``list(workload.ops(seed=seed,
@@ -168,7 +160,6 @@ def compare_workload(
 
     baseline_alloc = make_baseline(
         config=config,
-        memoize_traces=memoize_traces,
         intern_traces=intern_traces,
         allocator=allocator,
     )
@@ -180,7 +171,6 @@ def compare_workload(
         cache_entries=cache_entries,
         config=config,
         cache_config=cache_config,
-        memoize_traces=memoize_traces,
         intern_traces=intern_traces,
         allocator=allocator,
     )

@@ -128,8 +128,8 @@ def trace_cache_summary(*results) -> dict[str, float]:
     Accepts any objects carrying ``trace_cache_hits``/``trace_cache_misses``
     (:class:`~repro.harness.runner.RunResult`,
     :class:`~repro.harness.runner.MultiThreadRunResult`); returns hits,
-    misses, lookups, and the pooled hit rate.  All zeros means memoization
-    was disabled (or nothing was scheduled).
+    misses, lookups, and the pooled hit rate.  All zeros means nothing was
+    scheduled.
     """
     hits = sum(r.trace_cache_hits for r in results)
     misses = sum(r.trace_cache_misses for r in results)

@@ -36,10 +36,11 @@ cells *cheaper*, which makes per-task overhead *relatively* costlier):
   (:func:`auto_batch_size`); ``1`` restores per-cell tasks;
 * **fork-server workers** — the pool ``initializer`` installs a
   :class:`~repro.sim.warm.WarmBank` pre-built by the parent (tiny warm
-  replays per workload family) holding interned trace templates, memoized
-  scheduling results, and read-only op streams.  Banks are
-  telemetry-neutral by construction: they satisfy cache *misses* after the
-  miss is counted, so per-cell summaries and pooled metrics are
+  replays per workload family) holding interned trace templates and
+  read-only op streams; the same warm replays fill the columnar engine's
+  process-wide schedule store, which workers inherit through ``fork``.
+  Both are telemetry-neutral by construction: they satisfy cache *misses*
+  after the miss is counted, so per-cell summaries and pooled metrics are
   byte-identical to cold serial runs;
 * **one pool per run** — the ``ProcessPoolExecutor`` is created once and
   reused across retry rounds; it is rebuilt only after a
@@ -466,10 +467,12 @@ def build_warm_bank(
 
     Per distinct ``(workload, seed, cache_entries, app-traffic)`` family the
     parent replays a ``warm_ops``-op prefix under both baseline and Mallacc
-    allocators and harvests the machines' interned templates and memoized
-    scheduling results.  Harvested values are keyed by content (canonical
-    fingerprints, ``(site, tokens, latencies)`` triples), so a truncated
-    warm replay only bounds *coverage*, never correctness.  Op streams small
+    allocators and harvests the machines' interned templates; the replays
+    also fill the columnar engine's process-wide schedule store
+    (:mod:`repro.sim.timing`), which the pool's ``fork``-started workers
+    inherit.  Both are keyed by content (``(site, tokens, latencies)``
+    triples, canonical fingerprints), so a truncated warm replay only
+    bounds *coverage*, never correctness.  Op streams small
     enough to hold (:data:`~repro.sim.warm.STREAM_PREWARM_MAX_OPS`) are
     pre-generated here so every worker inherits them read-only; larger
     streams stay lazy, memoized worker-side on first use.
@@ -518,7 +521,7 @@ def build_warm_bank(
 
 def _run_cell_batch(
     cell_fn: Callable[[SweepCell], CellResult], cells: Sequence[SweepCell]
-) -> tuple[list[tuple[str, bool, CellResult | str]], tuple[int, int, int]]:
+) -> tuple[list[tuple[str, bool, CellResult | str]], tuple[int, int]]:
     """Worker-side task: run one batch of cells, isolating per-cell failure.
 
     Returns per-cell ``(cell_id, ok, result-or-error)`` outcomes plus this
@@ -526,15 +529,15 @@ def _run_cell_batch(
     siblings down with it (only a *worker death* does, via the broken pool).
     """
     bank = warm_state.active_bank()
-    before = bank.counters() if bank is not None else (0, 0, 0)
+    before = bank.counters() if bank is not None else (0, 0)
     outcomes: list[tuple[str, bool, CellResult | str]] = []
     for cell in cells:
         try:
             outcomes.append((cell.cell_id, True, _timed_cell(cell_fn, cell)))
         except Exception as exc:
             outcomes.append((cell.cell_id, False, f"{type(exc).__name__}: {exc}"))
-    after = bank.counters() if bank is not None else (0, 0, 0)
-    delta = (after[0] - before[0], after[1] - before[1], after[2] - before[2])
+    after = bank.counters() if bank is not None else (0, 0)
+    delta = (after[0] - before[0], after[1] - before[1])
     return outcomes, delta
 
 
@@ -602,7 +605,7 @@ class _RoundOutcome:
     pool_broken: bool = False
     """A worker died outright this round; the caller must rebuild the pool
     before the next round (the only time a pool is ever rebuilt)."""
-    warm_hits: tuple[int, int, int] = (0, 0, 0)
+    warm_hits: tuple[int, int] = (0, 0)
     batches: int = 0
 
 
@@ -654,7 +657,7 @@ def _attempt_round(
                 submit_error = f"{type(exc).__name__}: {exc}"
         for cell in batch:
             out.failed[cell.cell_id] = submit_error
-    warm = [0, 0, 0]
+    warm = [0, 0]
     for future in as_completed(futures):
         batch = futures[future]
         try:
@@ -679,7 +682,7 @@ def _attempt_round(
                 out.failed[cell_id] = payload
         if batch_done and on_batch is not None:
             on_batch(batch_done)
-    out.warm_hits = (warm[0], warm[1], warm[2])
+    out.warm_hits = tuple(warm)
     return out
 
 
@@ -786,7 +789,7 @@ def run_matrix(
     if jobs > 1 and pending and prewarm and cell_fn is run_cell:
         bank = build_warm_bank(pending)
     pool: ProcessPoolExecutor | None = None
-    warm_hits = [0, 0, 0]
+    warm_hits = [0, 0]
     last_error: dict[str, str] = {}
     attempt = 0
     try:
@@ -838,9 +841,8 @@ def run_matrix(
             pool.shutdown()
     if bank is not None:
         stats.warm = bank.summary()
-        stats.warm["schedule_hits"] = warm_hits[0]
-        stats.warm["template_hits"] = warm_hits[1]
-        stats.warm["stream_hits"] = warm_hits[2]
+        stats.warm["template_hits"] = warm_hits[0]
+        stats.warm["stream_hits"] = warm_hits[1]
 
     quarantined = {cell.cell_id: last_error[cell.cell_id] for cell in pending}
     for cell_id, error in quarantined.items():

@@ -207,9 +207,8 @@ def machine_counter_snapshot(machines) -> dict[str, int]:
         timing = machine.timing
         if id(timing) not in seen_timings:
             seen_timings.add(id(timing))
-            if timing.cache_stats is not None:
-                totals["trace_cache_hits"] += timing.cache_stats.hits
-                totals["trace_cache_misses"] += timing.cache_stats.misses
+            totals["trace_cache_hits"] += timing.hits
+            totals["trace_cache_misses"] += timing.misses
             totals["columnar_templates_compiled"] += timing.columnar_compiles
             totals["columnar_uops_compiled"] += timing.columnar_compiled_uops
     return totals

@@ -119,7 +119,7 @@ class RunResult:
     warmup_calls: int = 0
     warmup_cycles: int = 0
     trace_cache_hits: int = 0
-    """Trace-scheduling memoization hits during this replay (0 if disabled)."""
+    """Schedule-memo hits during this replay (``TimingModel.hits`` delta)."""
     trace_cache_misses: int = 0
     intern_hits: int = 0
     """Emission-template intern hits during this replay (0 if disabled).
@@ -192,23 +192,16 @@ class RunResult:
 
 
 def _cache_snapshots(machines) -> list[tuple[int, int]]:
-    """(hits, misses) per distinct timing model, for delta accounting."""
-    snaps = []
-    for machine in _distinct_machines(machines):
-        stats = machine.timing.cache_stats
-        snaps.append(stats.snapshot() if stats is not None else (0, 0))
-    return snaps
+    """(hits, misses) of each distinct timing model's schedule memo, for
+    delta accounting."""
+    return [(m.timing.hits, m.timing.misses) for m in _distinct_machines(machines)]
 
 
 def _cache_delta(machines, before: list[tuple[int, int]]) -> tuple[int, int]:
     hits = misses = 0
     for machine, (h0, m0) in zip(_distinct_machines(machines), before):
-        stats = machine.timing.cache_stats
-        if stats is None:
-            continue
-        h1, m1 = stats.snapshot()
-        hits += h1 - h0
-        misses += m1 - m0
+        hits += machine.timing.hits - h0
+        misses += machine.timing.misses - m0
     return hits, misses
 
 

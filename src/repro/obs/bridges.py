@@ -9,8 +9,8 @@ these adapters lift them into one registry after the fact, which is how the
   :class:`~repro.harness.runner.MultiThreadRunResult` (duck-typed);
 * :func:`profiler_registry` — a
   :class:`~repro.harness.profile.HotPathProfiler`;
-* :func:`stats_registry` — a ``TraceCacheStats``/``TraceInternStats``
-  hits/misses/evictions carrier;
+* :func:`stats_registry` — a hits/misses/evictions carrier such as
+  ``TraceInternStats``;
 * :func:`refill_summary` — the slow-path refill stage of a profiler
   (seconds, entries, share of replay wall time), as a dict and optional
   gauges;
@@ -129,8 +129,8 @@ def stats_registry(
 ) -> MetricsRegistry:
     """Lift a stats carrier under the series prefix ``name``.
 
-    Hits/misses(/evictions) carriers (``TraceCacheStats``,
-    ``TraceInternStats``) emit their classic three series.  Counters the
+    Hits/misses(/evictions) carriers (``TraceInternStats``) emit their
+    classic three series.  Counters the
     carrier lacks default to 0 instead of raising — the allocator zoo's
     carriers (``HoardStats``, ``BuddyStats``) have no hit/miss notion — and
     every *other* public numeric field is emitted as its own series, so any
@@ -197,9 +197,9 @@ def warm_registry(
     merged into ``CellResult.metrics`` — the pooled per-cell registry is
     byte-compared serial-vs-sharded, and serial runs have no bank."""
     reg = registry if registry is not None else MetricsRegistry()
-    for key in ("schedule_hits", "template_hits", "stream_hits"):
+    for key in ("template_hits", "stream_hits"):
         reg.counter(f"warm_{key}", **labels).inc(int(warm.get(key, 0)))
-    for key in ("schedules", "templates", "streams"):
+    for key in ("templates", "streams"):
         reg.gauge(f"warm_{key}", **labels).set(int(warm.get(key, 0)))
     return reg
 

@@ -43,7 +43,6 @@ def _package_version() -> str:
 #: reference cache implementation" style divergences.
 ENV_KNOBS = (
     "REPRO_ENGINE",
-    "REPRO_TRACE_CACHE",
     "REPRO_TRACE_INTERN",
     "REPRO_INTERN_VALIDATE",
     "REPRO_CACHE_IMPL",

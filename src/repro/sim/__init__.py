@@ -22,7 +22,6 @@ from repro.sim.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.sim.memory import SimulatedMemory, VirtualAddressSpace
 from repro.sim.timing import CoreConfig, TimingModel, TimingResult
 from repro.sim.tlb import TLB, TLBConfig
-from repro.sim.trace_cache import TraceCache, TraceCacheStats
 from repro.sim.uop import Tag, Trace, TraceBuilder, Uop, UopKind
 
 __all__ = [
@@ -38,8 +37,6 @@ __all__ = [
     "TLB",
     "TLBConfig",
     "Trace",
-    "TraceCache",
-    "TraceCacheStats",
     "TraceBuilder",
     "Uop",
     "UopKind",

@@ -22,9 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sim import warm as _warm
 from repro.sim.columns import (
-    compile_trace,
     materialize_struct_columns,
     struct_columns_cached,
     removed_tag_mask,
@@ -32,19 +30,7 @@ from repro.sim.columns import (
     schedule_columns_ablated,
 )
 from repro.sim.engine import is_columnar
-from repro.sim.trace_cache import DEFAULT_TRACE_CACHE_ENTRIES, TraceCache, TraceCacheStats
 from repro.sim.uop import Tag, Trace, UopKind
-
-
-#: Process-wide memo of columnar schedule results.  A schedule is a pure
-#: function of (trace fingerprint, ablation mask, core config) — frozen
-#: hashable keys — so results are bit-equal wherever they are recomputed;
-#: sharing them across machine instances skips the array walk without
-#: touching any per-machine telemetry.  Cleared wholesale at the cap (a
-#: safety valve for very long processes; fingerprint cardinality is small
-#: in practice).
-_COLUMNAR_SCHEDULES: dict[tuple, "TimingResult"] = {}
-_SCHEDULE_MEMO_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -61,9 +47,19 @@ class CoreConfig:
     caps how much latency a long dependent slow-path loop can hide."""
     pipeline_overhead: int = 2
     """Front-end cycles charged once per call (call/return, fetch redirect)."""
-    trace_cache_entries: int = DEFAULT_TRACE_CACHE_ENTRIES
-    """LRU capacity of the trace-scheduling memoization cache; 0 disables
-    memoization (every trace is scheduled from scratch)."""
+
+
+#: Process-wide schedule stores of the columnar engine, one per core config,
+#: keyed like the per-model memo.  A schedule is a pure function of (key,
+#: config), so results are bit-equal wherever they are recomputed; sharing
+#: them across machines — and, through ``fork``, with pool workers
+#: (:func:`repro.harness.parallel.build_warm_bank`) — skips the scheduling
+#: walk without touching any per-model telemetry.  The reference engine
+#: never reads or writes a store: it stays the executable spec.  A store is
+#: cleared wholesale at the cap (a safety valve for very long processes;
+#: fingerprint cardinality is small in practice).
+_STORES: dict[CoreConfig, dict] = {}
+_STORE_CAP = 1 << 16
 
 
 @dataclass
@@ -71,9 +67,9 @@ class TimingResult:
     """Outcome of scheduling one trace.
 
     Results coming out of :meth:`TimingModel.run` are memoized and *shared*
-    between trace-cache hits, so the per-uop time vectors are tuples: a
-    caller mutating a list here would silently corrupt every later hit on
-    the same fingerprint."""
+    between memo hits, so the per-uop time vectors are tuples: a caller
+    mutating a list here would silently corrupt every later hit on the same
+    fingerprint."""
 
     cycles: int
     issue_times: tuple[int, ...] = ()
@@ -90,21 +86,23 @@ class TimingResult:
 
 class TimingModel:
     """Schedules traces; the only state beyond configuration is the
-    memoization cache, which by construction never changes an answer."""
+    schedule memo, which by construction never changes an answer."""
 
     def __init__(self, config: CoreConfig | None = None, columnar: bool | None = None) -> None:
         self.config = config or CoreConfig()
-        self.cache: TraceCache | None = (
-            TraceCache(self.config.trace_cache_entries)
-            if self.config.trace_cache_entries > 0
-            else None
-        )
         #: Engine choice, resolved at construction (``REPRO_ENGINE``) like
-        #: the cache implementation.  Columnar scheduling compiles traces to
-        #: flat columns (repro.sim.columns) and walks primitive arrays;
+        #: the cache implementation.  Columnar scheduling walks the flat
+        #: columns twin-materialized traces carry (repro.sim.columns);
         #: results are bit-identical to :meth:`_schedule`.
         self.columnar = is_columnar() if columnar is None else columnar
-        self._run_schedule = self._schedule_columnar if self.columnar else self._schedule
+        #: Per-model schedule memo: fingerprint key, or ``(key,
+        #: frozenset(tags))`` for ablations, to a shared ``TimingResult``.
+        #: ``hits``/``misses`` count its lookups (the runner's
+        #: ``trace_cache_hits``/``trace_cache_misses``).
+        self._memo: dict = {}
+        self.hits = 0
+        self.misses = 0
+        self._store = _STORES.setdefault(self.config, {}) if self.columnar else None
         #: Template-compilation telemetry (columnar engine only; surfaced by
         #: the hot-path profiler as ``columnar_templates_compiled`` /
         #: ``columnar_uops_compiled``).
@@ -123,22 +121,6 @@ class TimingModel:
         self._struct_columns: dict[int, tuple] = {}
 
     # ------------------------------------------------------------ memoization
-    def set_memoization(self, enabled: bool) -> None:
-        """Toggle trace-cache memoization on this model.
-
-        Enabling starts from an empty cache; disabling drops the cache (its
-        stats with it), so a later enable measures fresh."""
-        if enabled and self.cache is None:
-            entries = self.config.trace_cache_entries or DEFAULT_TRACE_CACHE_ENTRIES
-            self.cache = TraceCache(entries)
-        elif not enabled:
-            self.cache = None
-
-    @property
-    def cache_stats(self) -> TraceCacheStats | None:
-        """Lifetime hit/miss/eviction stats, or ``None`` when disabled."""
-        return self.cache.stats if self.cache is not None else None
-
     def run(self, trace: Trace) -> TimingResult:
         """Schedule ``trace`` and return its cycle count.
 
@@ -147,20 +129,11 @@ class TimingModel:
         the trace's canonical fingerprint and may be shared objects — treat
         them as immutable.
         """
-        cache = self.cache
-        if cache is None:
-            return self._run_schedule(trace)
         key = trace.fingerprint_key()
-        result = cache.get(key)
+        result = self._memo.get(key)
         if result is None:
-            # The miss is recorded; a fork-server warm bank (repro.sim.warm)
-            # may still supply the shared result — _schedule is a pure
-            # function of the fingerprint, so banked and fresh results are
-            # bit-equal and telemetry is untouched.
-            result = _warm.lookup_schedule(key)
-            if result is None:
-                result = self._run_schedule(trace)
-            cache.put(key, result)
+            return self._miss(key, trace, None)
+        self.hits += 1
         return result
 
     def run_ablated(self, trace: Trace, tags: frozenset[Tag] | set[Tag]) -> TimingResult:
@@ -171,49 +144,42 @@ class TimingModel:
         this is what keeps the limit-study ablation from doubling a
         baseline replay's cost."""
         tags = frozenset(tags)
-        cache = self.cache
-        if cache is None:
-            if self.columnar:
-                return self._schedule_ablated_columnar(trace, tags)
-            return self._schedule(trace.without_tags(tags))
         key = (trace.fingerprint_key(), tags)
-        result = cache.get(key)
+        result = self._memo.get(key)
         if result is None:
-            result = _warm.lookup_schedule(key)
+            return self._miss(key, trace, tags)
+        self.hits += 1
+        return result
+
+    def _miss(self, key, trace: Trace, tags: frozenset | None) -> TimingResult:
+        """Count a memo miss, then take the result from the process store
+        (columnar engine) or compute it, and memoize it."""
+        self.misses += 1
+        store = self._store
+        if store is None:
+            result = self._schedule(trace if tags is None else trace.without_tags(tags))
+        else:
+            result = store.get(key)
             if result is None:
-                if self.columnar:
-                    result = self._schedule_ablated_columnar(trace, tags)
-                else:
-                    result = self._schedule(trace.without_tags(tags))
-            cache.put(key, result)
+                result = self._schedule_columnar(trace, tags)
+                if len(store) >= _STORE_CAP:
+                    store.clear()
+                store[key] = result
+        self._memo[key] = result
         return result
 
     # ----------------------------------------------------- columnar schedule
-    def _compile(self, trace: Trace):
-        """Compile ``trace`` to columns (cached on the instance), counting
-        the compilation and attributing its wall time to the
-        ``columnar_compile`` profiler stage when a profiler is attached."""
-        profiler = self.profiler
-        if profiler is not None:
-            with profiler.timed("columnar_compile"):
-                cols = compile_trace(trace)
-        else:
-            cols = compile_trace(trace)
-        self.columnar_compiles += 1
-        self.columnar_compiled_uops += cols.n
-        return cols
-
     def materialize_columnar(self, struct: tuple, addrs, lats) -> Trace:
         """Materialize a fused-twin intern miss straight to columns.
 
         Static column templates are pure functions of the structure, so the
         compiled arrays are shared process-wide (``struct_columns_cached``);
         every miss of a known shape then only fills the per-call latency and
-        cache-line columns — neither ``Uop`` objects nor an object-walk
-        first schedule are ever constructed for twin-served calls.  Compile
-        telemetry (counters and the ``columnar_compile`` profiler stage) is
-        credited on each model's *first use* of a shape, so it stays
-        deterministic per machine instead of depending on process history."""
+        cache-line columns — ``Uop`` objects are never constructed for
+        twin-served calls.  Compile telemetry (counters and the
+        ``columnar_compile`` profiler stage) is credited on each model's
+        *first use* of a shape, so it stays deterministic per machine
+        instead of depending on process history."""
         entry = self._struct_columns.get(id(struct))
         if entry is None:
             profiler = self.profiler
@@ -227,84 +193,39 @@ class TimingModel:
             self.columnar_compiled_uops += static[0]
         return materialize_struct_columns(entry[1], struct, addrs, lats)
 
-    def _schedule_columnar(self, trace: Trace) -> TimingResult:
+    def _schedule_columnar(self, trace: Trace, tags: frozenset | None) -> TimingResult:
+        """Walk the trace's columns when it carries them (twin-materialized
+        traces); any other trace takes the object walk.  A stored result is
+        never scheduled again, so compiling columns for a trace that lacks
+        them would pay array construction for a single walk."""
         cols = getattr(trace, "_columns", None)
         if cols is None:
-            # Compile lazily, on the *second* schedule of a template.  Under
-            # memoization every distinct fingerprint is scheduled exactly once
-            # and then served from the trace cache, so building columns up
-            # front would pay array construction for a single walk — strictly
-            # worse than one interpretive pass.  A template that comes back
-            # (cache eviction, memoization off, ablation variants) compiles
-            # then, and every later schedule walks the arrays.
-            if getattr(trace, "_sched_once", False):
-                cols = self._compile(trace)
-            else:
-                trace._sched_once = True
-                return self._schedule(trace)
-        fp = getattr(trace, "_fingerprint", None)
-        if fp is None:
-            completion, issue_times, ready_times = schedule_columns(cols, self.config)
-            return TimingResult(
-                cycles=completion + self.config.pipeline_overhead,
-                issue_times=tuple(issue_times),
-                ready_times=tuple(ready_times),
-            )
-        # Schedules are pure in (fingerprint, config), so results are shared
-        # process-wide across machine instances (fresh machines per GRID
-        # cell / benchmark repeat re-derive identical results otherwise).
-        # Telemetry is untouched: trace-cache hit/miss and compile counters
-        # are all recorded before this point.
-        key = (fp, self.config)
-        result = _COLUMNAR_SCHEDULES.get(key)
-        if result is None:
-            if len(_COLUMNAR_SCHEDULES) >= _SCHEDULE_MEMO_CAP:
-                _COLUMNAR_SCHEDULES.clear()
-            completion, issue_times, ready_times = schedule_columns(cols, self.config)
-            result = _COLUMNAR_SCHEDULES[key] = TimingResult(
-                cycles=completion + self.config.pipeline_overhead,
-                issue_times=tuple(issue_times),
-                ready_times=tuple(ready_times),
-            )
-        return result
-
-    def _schedule_ablated_columnar(self, trace: Trace, tags: frozenset) -> TimingResult:
-        cols = getattr(trace, "_columns", None)
-        if cols is None:
-            cols = self._compile(trace)
-        mask = self._ablate_masks.get(tags)
-        if mask is None:
-            mask = self._ablate_masks[tags] = removed_tag_mask(tags)
-        fp = getattr(trace, "_fingerprint", None)
-        key = None
-        if fp is not None:
-            key = (fp, mask, self.config)
-            result = _COLUMNAR_SCHEDULES.get(key)
-            if result is not None:
-                return result
-        if cols.tag_mask & mask:
-            completion, issue_times, ready_times = schedule_columns_ablated(
-                cols, mask, self.config
-            )
+            return self._schedule(trace if tags is None else trace.without_tags(tags))
+        config = self.config
+        if tags is None:
+            completion, issue_times, ready_times = schedule_columns(cols, config)
         else:
-            # No uop carries a removed tag: the ablated trace is the trace.
-            completion, issue_times, ready_times = schedule_columns(cols, self.config)
-        result = TimingResult(
-            cycles=completion + self.config.pipeline_overhead,
+            mask = self._ablate_masks.get(tags)
+            if mask is None:
+                mask = self._ablate_masks[tags] = removed_tag_mask(tags)
+            if cols.tag_mask & mask:
+                completion, issue_times, ready_times = schedule_columns_ablated(
+                    cols, mask, config
+                )
+            else:
+                # No uop carries a removed tag: the ablated trace is the trace.
+                completion, issue_times, ready_times = schedule_columns(cols, config)
+        return TimingResult(
+            cycles=completion + config.pipeline_overhead,
             issue_times=tuple(issue_times),
             ready_times=tuple(ready_times),
         )
-        if key is not None:
-            if len(_COLUMNAR_SCHEDULES) >= _SCHEDULE_MEMO_CAP:
-                _COLUMNAR_SCHEDULES.clear()
-            _COLUMNAR_SCHEDULES[key] = result
-        return result
 
     # --------------------------------------------------------------- schedule
     def _schedule(self, trace: Trace) -> TimingResult:
         # Hot loop: every name used per-uop is a local (attribute chains and
         # enum lookups hoisted), with behavior identical to the obvious
-        # spelling — memoization makes this the cost of every cache *miss*.
+        # spelling — memoization makes this the cost of every memo *miss*.
         config = self.config
         width = config.issue_width
         load_ports = config.load_ports

@@ -1,8 +1,8 @@
 """Interned trace templates: memoizing the *emission* side of the simulator.
 
-PR 1's :class:`~repro.sim.trace_cache.TraceCache` made scheduling nearly
-free, but every allocator call still paid full price to construct the trace
-it then skipped scheduling: ~40 :class:`~repro.sim.uop.Uop` dataclass
+The schedule memo of :class:`~repro.sim.timing.TimingModel` makes
+scheduling nearly free, but every allocator call would still pay full price
+to construct the trace it then skips scheduling: ~40 :class:`~repro.sim.uop.Uop` dataclass
 constructions, a :class:`~repro.sim.uop.Trace`, and a fingerprint tuple.
 The paper's own thesis — malloc fast paths are a handful of highly
 repetitive instruction shapes — applies to emission just as much as to
@@ -26,7 +26,7 @@ An intern hit therefore returns the *same shared* :class:`Trace` object —
 fingerprint precomputed — in two dict lookups, without materializing a
 single ``Uop``.  Downstream, :meth:`~repro.sim.timing.TimingModel.run` sees
 the identical fingerprint sequence it would have seen without interning, so
-trace-cache statistics and every scheduling result are byte-identical
+schedule-memo statistics and every scheduling result are byte-identical
 (enforced by ``tests/integration/test_hot_path_differential.py``).
 
 Two sharp edges, both deliberate:
@@ -160,7 +160,7 @@ class TraceInterner:
         trace = None if self.validate else _warm.lookup_template(site, tokens, latencies)
         if trace is None:
             trace = materialize()
-            # Shared traces are trace-cache keys on every subsequent hit;
+            # Shared traces are schedule-memo keys on every subsequent hit;
             # cache the fingerprint hash once so lookups stop re-hashing
             # the tuple.
             trace._fp_key = FingerprintKey(trace._fingerprint)

@@ -76,7 +76,7 @@ class FingerprintKey:
 
     Hash- and equality-compatible with the underlying fingerprint tuple in
     both directions, so dict entries stored under either form find each
-    other.  Interned traces are looked up in the trace cache on every
+    other.  Interned traces are looked up in the schedule memo on every
     allocator call; without this, each lookup re-hashes a ~40-element tuple
     of tuples."""
 
@@ -128,7 +128,7 @@ class Trace:
         For traces with a precomputed fingerprint (interned templates), the
         key is a :class:`FingerprintKey` wrapper whose hash is computed once
         and cached — hash- and equality-compatible with the plain tuple, so
-        it indexes the same :class:`~repro.sim.trace_cache.TraceCache`
+        it indexes the same :class:`~repro.sim.timing.TimingModel` memo
         entries and leaves hit/miss accounting untouched.  Ad-hoc traces
         return the plain tuple (computing a wrapper per throwaway trace
         would cost exactly the hash it tries to save)."""

@@ -4,32 +4,34 @@ The parallel harness (:mod:`repro.harness.parallel`) replays every cell on
 *fresh* machines — that hermeticity is what makes sharded results
 byte-identical to serial ones.  The price is that every cell re-pays the
 same cold-start work: materializing the handful of interned fast-path
-templates, scheduling the same few hundred trace fingerprints, and
-generating the same deterministic op streams.  On the small cells that
-sampling-style methodologies deliberately produce, that cold start is most
-of the cell.
+templates and generating the same deterministic op streams.  On the small
+cells that sampling-style methodologies deliberately produce, that cold
+start is most of the cell.  (Scheduling results need no bank: the columnar
+engine's process-wide schedule store in :mod:`repro.sim.timing` is filled
+by the parent's warm replays and reaches ``fork``-started workers with the
+rest of the parent's memory.)
 
 A :class:`WarmBank` lets a pool of fork-server workers share that work
 **without perturbing a single counter**:
 
 * **telemetry neutrality** — the bank is consulted only *after* a per-cell
   cache has already recorded its miss.  A bank hit replaces the *work* of
-  the miss (the ``materialize()`` call, the dependency-graph schedule, the
-  stream generation), never the hit/miss accounting.  Per-cell
+  the miss (the ``materialize()`` call, the stream generation), never the
+  hit/miss accounting.  Per-cell
   ``trace_cache_hits``/``intern_hits`` — which feed the byte-compared
   figure payload and the pooled :class:`~repro.obs.metrics.MetricsRegistry`
   — are identical with and without a bank installed
   (``tests/integration/test_batching_differential.py`` enforces this);
 * **determinism** — banked values are produced by the same pure functions
-  they replace (``TimingModel._schedule`` is a pure function of the
-  fingerprint; an interned trace is fully determined by
+  they replace (an interned trace is fully determined by
   ``(site, tokens, latencies)``; op streams are seed-deterministic), so a
   bank hit returns a value bit-equal to what the cold path would compute;
 * **picklability** — a bank built in the parent is shipped to pool workers
   through the executor ``initializer``.  Under the default ``fork`` start
   method it is inherited for free; under ``spawn`` it is pickled, which is
-  why :class:`~repro.sim.uop.FingerprintKey` re-derives its cached hash on
-  unpickle (string hashes are per-process under ``PYTHONHASHSEED``).
+  why :class:`~repro.sim.uop.FingerprintKey` (the cached key of a banked
+  template) re-derives its hash on unpickle (string hashes are per-process
+  under ``PYTHONHASHSEED``).
 
 The bank is process-global and installed at most once per worker
 (:func:`install_bank` from the pool initializer).  The serial ``jobs=1``
@@ -56,21 +58,17 @@ STREAM_PREWARM_MAX_OPS = 20_000
 class WarmBank:
     """Read-mostly warm state shared by every worker forked from one pool.
 
-    ``schedules``/``templates`` are harvested from throwaway warm replays
+    ``templates`` are harvested from throwaway warm replays
     (:func:`harvest_machine`) and treated as read-only; ``streams`` also
     grows worker-side as cells generate streams the parent didn't pre-build
     (bounded by :data:`MAX_WORKER_STREAMS`).  The ``*_hits`` counters are
     per-process bank effectiveness telemetry — they never feed cell results.
     """
 
-    schedules: dict[Any, Any] = field(default_factory=dict)
-    """Trace-cache key (fingerprint key, or ``(key, frozenset(tags))`` for
-    ablation variants) → shared immutable ``TimingResult``."""
     templates: dict[tuple, Any] = field(default_factory=dict)
     """``(site, tokens, latencies)`` → shared fingerprinted ``Trace``."""
     streams: dict[tuple, tuple] = field(default_factory=dict)
     """``(workload, seed, num_ops)`` → read-only tuple of ``Op``."""
-    schedule_hits: int = 0
     template_hits: int = 0
     stream_hits: int = 0
 
@@ -78,16 +76,14 @@ class WarmBank:
         """JSON-ready bank sizes and hit counters (for progress streams and
         :func:`repro.obs.bridges.warm_registry` — kept out of cell metrics)."""
         return {
-            "schedules": len(self.schedules),
             "templates": len(self.templates),
             "streams": len(self.streams),
-            "schedule_hits": self.schedule_hits,
             "template_hits": self.template_hits,
             "stream_hits": self.stream_hits,
         }
 
-    def counters(self) -> tuple[int, int, int]:
-        return (self.schedule_hits, self.template_hits, self.stream_hits)
+    def counters(self) -> tuple[int, int]:
+        return (self.template_hits, self.stream_hits)
 
 
 _ACTIVE: WarmBank | None = None
@@ -108,25 +104,14 @@ def clear_bank() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Miss-path lookups (called by the sim cache layer, never on hits)
+# Miss-path lookups (called by the interner, never on hits)
 # ---------------------------------------------------------------------------
-def lookup_schedule(key: Any) -> Any | None:
-    """A banked ``TimingResult`` for a trace-cache key, or ``None``.
-
-    Called by :meth:`repro.sim.timing.TimingModel.run`/``run_ablated`` only
-    after the per-model cache recorded a miss, so hit/miss telemetry is
-    untouched either way."""
-    bank = _ACTIVE
-    if bank is None:
-        return None
-    result = bank.schedules.get(key)
-    if result is not None:
-        bank.schedule_hits += 1
-    return result
-
-
 def lookup_template(site: str, tokens: tuple, latencies: tuple) -> Any | None:
-    """A banked interned ``Trace``, or ``None`` (same miss-only discipline)."""
+    """A banked interned ``Trace``, or ``None``.
+
+    Called by :meth:`repro.sim.trace_intern.TraceInterner.intern` only after
+    the interner recorded a miss, so hit/miss telemetry is untouched either
+    way."""
     bank = _ACTIVE
     if bank is None:
         return None
@@ -163,15 +148,12 @@ def stream_for(
 # Harvest
 # ---------------------------------------------------------------------------
 def harvest_machine(bank: WarmBank, machine: Any) -> None:
-    """Fold one machine's caches into ``bank`` after a warm replay.
+    """Fold one machine's interned templates into ``bank`` after a warm
+    replay.
 
-    Duck-typed: anything with a ``timing.cache`` exporting entries and/or an
-    ``interner`` exporting templates contributes; first-seen values win
-    (they are all bit-equal by determinism, so the choice is cosmetic)."""
-    cache = getattr(getattr(machine, "timing", None), "cache", None)
-    if cache is not None:
-        for key, result in cache.export_entries().items():
-            bank.schedules.setdefault(key, result)
+    Duck-typed: anything with an ``interner`` exporting templates
+    contributes; first-seen values win (they are all bit-equal by
+    determinism, so the choice is cosmetic)."""
     interner = getattr(machine, "interner", None)
     if interner is not None:
         for key, trace in interner.export_templates().items():

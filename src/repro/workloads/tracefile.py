@@ -14,7 +14,9 @@ harness:
 
 ``gap`` is application cycles since the previous call, ``app_lines`` cache
 lines the application touched, and a trailing ``w`` marks warmup ops
-(excluded from measurement).  Comments (``#``) and blank lines are ignored.
+(excluded from measurement).  Every numeric field is a non-negative
+integer; surplus fields are an error.  Comments (``#``) and blank lines are
+ignored.
 """
 
 from __future__ import annotations
@@ -73,6 +75,8 @@ def parse_line(line: str, lineno: int = 0) -> Op | None:
         raise TraceFormatError(f"line {lineno}: unknown op code {code!r}")
     kind = _CODE_TO_KIND[code]
     if kind is OpKind.ANTAGONIZE:
+        if len(parts) > 1:
+            raise TraceFormatError(f"line {lineno}: surplus fields after {code!r}")
         return Op(OpKind.ANTAGONIZE)
     try:
         warmup = parts[-1] == "w"
@@ -82,11 +86,12 @@ def parse_line(line: str, lineno: int = 0) -> Op | None:
 
     if len(numeric) < 2:
         raise TraceFormatError(f"line {lineno}: too few fields for {code!r}")
-    slot = numeric[0]
-    size = numeric[1]
-    rest = numeric[2:]
-    gap = rest[0] if len(rest) > 0 else 0
-    app_lines = rest[1] if len(rest) > 1 else 0
+    if len(numeric) > 4:
+        raise TraceFormatError(f"line {lineno}: surplus fields for {code!r}")
+    for name, value in zip(("slot", "size", "gap", "app_lines"), numeric):
+        if value < 0:
+            raise TraceFormatError(f"line {lineno}: negative {name} {value}")
+    slot, size, gap, app_lines = numeric + [0] * (4 - len(numeric))
     return Op(
         kind=kind, size=size, slot=slot, gap_cycles=gap, app_lines=app_lines, warmup=warmup
     )

@@ -186,7 +186,7 @@ class TestRunnerWiring:
         # Coherent mode: one timing model per core, all pooled once each.
         assert prof.counters["trace_cache_hits"] + prof.counters[
             "trace_cache_misses"
-        ] == sum(m.timing.cache_stats.lookups for m in mt.core_machines)
+        ] == sum(m.timing.hits + m.timing.misses for m in mt.core_machines)
 
 
 class TestSnapshotDedup:
@@ -207,9 +207,7 @@ class TestSnapshotDedup:
             alloc, MICROBENCHMARKS["tp_small"].ops(seed=3, num_ops=50)
         )
         collect_machine_counters(prof, [alloc.machine])
-        assert prof.counters["trace_cache_hits"] == (
-            alloc.machine.timing.cache_stats.hits
-        )
+        assert prof.counters["trace_cache_hits"] == alloc.machine.timing.hits
 
 
 class TestInternSummary:

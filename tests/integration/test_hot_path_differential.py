@@ -122,10 +122,8 @@ def _assert_grid(workload, allocator, num_ops):
     assert fast.machine.interner is not None
     assert fast.machine.interner.stats.hits > 0
     if allocator is make_baseline:
-        # Compilation is lazy (second schedule of a template), and the
-        # accelerated allocator's fused twins can satisfy short replays
-        # without ever re-scheduling — so only the baseline is guaranteed
-        # to compile here.
+        # Compiles count each model's first use of a fused-twin shape; the
+        # baseline's twins are guaranteed to serve a short replay.
         assert fast.machine.timing.columnar_compiles > 0
     reference_impl = outs[2][4]
     assert not reference_impl.machine.hierarchy._fast

@@ -2,11 +2,13 @@
 
 Every workload family — micro, macro, adversarial, multithreaded — is
 replayed twice on fresh machines, once with trace-scheduling memoization on
-and once with it off, and the full observable surface is compared: per-call
-cycle counts, ablated cycle dicts, taken paths, and aggregate accounting.
-This is the guarantee the tentpole rests on; any scheduler read outside the
-fingerprinted fields, or any mutation of a shared cached result, shows up
-here as a diff.
+and once with every schedule computed from scratch by the pure object-walk
+scheduler (an instance patch, :func:`schedule_unmemoized`), and the full
+observable surface is compared: per-call cycle counts, ablated cycle dicts,
+taken paths, and aggregate accounting.  Any scheduler read outside the
+fingerprinted fields, any mutation of a shared memoized result, or a stale
+entry in the columnar engine's process-wide schedule store shows up here as
+a diff.
 
 Op counts are kept modest so the sweep stays a few seconds of suite time;
 the full-scale replay lives in ``benchmarks/bench_trace_cache.py``.
@@ -24,6 +26,7 @@ from repro.workloads import (
     prefetch_trap,
 )
 from repro.workloads.threads import balanced_churn, producer_consumer
+from tests.sim.test_trace_cache import schedule_unmemoized
 
 LIMIT_ABLATION = "limit_study"
 
@@ -40,7 +43,9 @@ def _observable(result):
 
 
 def _replay(workload, memoize, *, allocator, num_ops, model_app_traffic=True):
-    alloc = allocator(memoize_traces=memoize)
+    alloc = allocator()
+    if not memoize:
+        schedule_unmemoized(alloc.machine.timing)
     ops = workload.ops(seed=7, num_ops=num_ops)
     return run_workload(
         alloc, ops, name=workload.name, model_app_traffic=model_app_traffic
@@ -59,7 +64,7 @@ def _assert_differential(workload, *, allocator, num_ops, model_app_traffic=True
     assert _observable(on) == _observable(off)
     assert on.trace_cache_lookups > 0
     assert on.trace_cache_hits > 0, "memoized replay never hit its cache"
-    assert off.trace_cache_lookups == 0  # disabled run must not count lookups
+    assert off.trace_cache_lookups == 0  # unmemoized run must not count lookups
     return on
 
 
@@ -102,23 +107,6 @@ class TestAdversarial:
     def test_bit_identical(self, make, allocator):
         _assert_differential(make(), allocator=allocator, num_ops=500)
 
-    def test_class_thrash_under_tiny_cache(self):
-        """Heavy eviction pressure (capacity far below the working set of
-        distinct shapes) must still be bit-identical."""
-        from repro.sim.timing import CoreConfig
-
-        workload = class_thrash()
-        ops = list(workload.ops(seed=7, num_ops=500))
-
-        off = run_workload(make_baseline(memoize_traces=False), list(ops))
-        tiny_alloc = make_baseline()
-        tiny_alloc.machine.timing.config = CoreConfig(trace_cache_entries=2)
-        tiny_alloc.machine.timing.set_memoization(False)
-        tiny_alloc.machine.timing.set_memoization(True)
-        tiny = run_workload(tiny_alloc, list(ops))
-        assert _observable(tiny) == _observable(off)
-        assert tiny_alloc.machine.timing.cache_stats.evictions > 0
-
 
 def _mt_observable(result):
     return {
@@ -139,9 +127,10 @@ class TestMultithreaded:
         workload = make()
 
         def replay(memoize):
-            mt = MultiThreadAllocator(
-                4, accelerated=accelerated, memoize_traces=memoize
-            )
+            mt = MultiThreadAllocator(4, accelerated=accelerated)
+            if not memoize:
+                for machine in {id(m): m for m in mt.core_machines}.values():
+                    schedule_unmemoized(machine.timing)
             return run_multithreaded(
                 mt, workload.ops(seed=7, num_ops=600), name=workload.name
             )
@@ -153,11 +142,11 @@ class TestMultithreaded:
 
     def test_coherent_cores_count_all_caches(self):
         """Coherent mode runs one timing model per core; the aggregate stats
-        must cover every core's cache, once each."""
+        must cover every core's memo, once each."""
         workload = balanced_churn(4)
-        mt = MultiThreadAllocator(4, coherent=True, memoize_traces=True)
+        mt = MultiThreadAllocator(4, coherent=True)
         result = run_multithreaded(mt, workload.ops(seed=7, num_ops=600))
-        per_core = [m.timing.cache_stats for m in mt.core_machines]
-        assert all(s is not None for s in per_core)
-        assert result.trace_cache_lookups == sum(s.lookups for s in per_core)
+        per_core = [m.timing.hits + m.timing.misses for m in mt.core_machines]
+        assert len({id(m.timing) for m in mt.core_machines}) == len(per_core)
+        assert result.trace_cache_lookups == sum(per_core)
         assert result.trace_cache_hit_rate > 0.5

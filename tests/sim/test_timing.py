@@ -215,7 +215,7 @@ class TestROB:
 
 
 class TestSharedResults:
-    """Memoized TimingResults are shared between trace-cache hits; the
+    """Memoized TimingResults are shared between memo hits; the
     per-uop time vectors are tuples so no caller can corrupt a later hit."""
 
     def _trace(self):
@@ -233,7 +233,7 @@ class TestSharedResults:
             r.issue_times[0] = 99
 
     def test_unmemoized_schedule_also_returns_tuples(self):
-        r = model(trace_cache_entries=0)._schedule(self._trace())
+        r = model()._schedule(self._trace())
         assert isinstance(r.issue_times, tuple)
         assert isinstance(r.ready_times, tuple)
 
@@ -242,7 +242,7 @@ class TestSharedResults:
         r1 = tm.run(self._trace())
         r2 = tm.run(self._trace())  # separately built, same fingerprint
         assert r1 is r2
-        assert tm.cache_stats.hits == 1
+        assert tm.hits == 1
 
     def test_default_result_vectors_empty_tuples(self):
         from repro.sim.timing import TimingResult

@@ -1,20 +1,31 @@
-"""Unit tests for trace-scheduling memoization (repro.sim.trace_cache).
+"""Unit tests for trace-scheduling memoization (repro.sim.timing).
 
 The differential sweep over whole workloads lives in
 ``tests/integration/test_trace_cache_differential.py``; here we pin the
-cache mechanics (fingerprint canonicality, LRU behavior, statistics, the
-enable/disable switches) at the component level.
+memo mechanics (fingerprint canonicality, the per-model memo and its
+counters, the columnar engine's process-wide schedule store) at the
+component level.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.alloc import TCMalloc
-from repro.sim.timing import CoreConfig, TimingModel
-from repro.sim.trace_cache import DEFAULT_TRACE_CACHE_ENTRIES, TraceCache, TraceCacheStats
+from repro.harness.experiments import make_mallacc
+from repro.harness.runner import run_workload
+from repro.sim import timing as timing_mod
+from repro.sim.timing import CoreConfig, TimingModel, TimingResult
 from repro.sim.uop import LIMIT_STUDY_TAGS, Tag, Trace, TraceBuilder
+from repro.workloads import MICROBENCHMARKS
 from tests.sim.test_timing_properties import traces
+
+
+def schedule_unmemoized(timing: TimingModel) -> None:
+    """Turn memoization off on one model by instance patch: ``run`` and
+    ``run_ablated`` call the pure scheduler, so neither the memo, the
+    process store nor the hit/miss counters are touched."""
+    timing.run = timing._schedule
+    timing.run_ablated = lambda trace, tags: timing._schedule(trace.without_tags(tags))
 
 
 def small_trace(load_latency=4, dep_on_load=True, tag=Tag.ADDRESSING):
@@ -71,100 +82,38 @@ class TestFingerprint:
         assert trace.fingerprint() is trace.fingerprint()  # cached
 
 
-class TestTraceCacheLRU:
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            TraceCache(0)
-        with pytest.raises(ValueError):
-            TraceCache(-1)
-
-    def test_len_bounded_by_capacity(self):
-        cache = TraceCache(4)
-        for i in range(10):
-            cache.put(i, i)
-        assert len(cache) == 4
-        assert cache.stats.evictions == 6
-
-    def test_evicts_least_recently_used(self):
-        cache = TraceCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refresh "a"
-        cache.put("c", 3)  # evicts "b", not "a"
-        assert cache.get("a") == 1
-        assert cache.get("b") is None
-        assert cache.get("c") == 3
-
-    def test_stats_counting(self):
-        cache = TraceCache(8)
-        assert cache.get("x") is None
-        cache.put("x", 1)
-        assert cache.get("x") == 1
-        stats = cache.stats
-        assert (stats.hits, stats.misses, stats.lookups) == (1, 1, 2)
-        assert stats.hit_rate == 0.5
-        assert stats.snapshot() == (1, 1)
-
-    def test_empty_stats_hit_rate(self):
-        assert TraceCacheStats().hit_rate == 0.0
-
-    def test_clear_drops_entries_keeps_stats(self):
-        cache = TraceCache(8)
-        cache.put("x", 1)
-        cache.get("x")
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.get("x") is None
-        assert cache.stats.hits == 1
-
-
 class TestTimingModelMemoization:
     def test_enabled_by_default(self):
         model = TimingModel()
-        assert model.cache is not None
-        assert model.cache.max_entries == DEFAULT_TRACE_CACHE_ENTRIES
-
-    def test_config_zero_disables(self):
-        model = TimingModel(CoreConfig(trace_cache_entries=0))
-        assert model.cache is None
-        assert model.cache_stats is None
+        assert (model.hits, model.misses) == (0, 0)
+        model.run(small_trace())
+        model.run(small_trace())
+        assert (model.hits, model.misses) == (1, 1)
 
     def test_hit_returns_equal_result(self):
         model = TimingModel()
         trace = small_trace()
         first = model.run(trace)
         again = model.run(trace)
-        assert again is first  # shared cached object
-        assert model.cache_stats.snapshot() == (1, 1)
+        assert again is first  # shared memoized object
+        assert (model.hits, model.misses) == (1, 1)
 
     def test_structurally_equal_traces_share_entry(self):
         model = TimingModel()
         r1 = model.run(small_trace())
         r2 = model.run(small_trace())  # distinct object, same shape
         assert r2 is r1
-        assert model.cache_stats.hits == 1
-
-    def test_set_memoization_toggles(self):
-        model = TimingModel()
-        model.run(small_trace())
-        model.set_memoization(False)
-        assert model.cache is None
-        r_off = model.run(small_trace())
-        model.set_memoization(True)
-        assert model.cache is not None
-        assert model.cache_stats.lookups == 0  # fresh cache, fresh stats
-        assert model.run(small_trace()).cycles == r_off.cycles
+        assert model.hits == 1
 
     def test_run_ablated_matches_unmemoized_without_tags(self):
         memo = TimingModel()
-        plain = TimingModel(CoreConfig(trace_cache_entries=0))
         trace = small_trace(tag=Tag.SIZE_CLASS)
-        expected = plain.run(trace.without_tags(LIMIT_STUDY_TAGS)).cycles
+        expected = TimingModel()._schedule(trace.without_tags(LIMIT_STUDY_TAGS)).cycles
         assert memo.run_ablated(trace, LIMIT_STUDY_TAGS).cycles == expected
-        # Second call is a pure cache hit (rewrite + schedule both skipped).
-        before = memo.cache_stats.hits
+        # Second call is a pure memo hit (rewrite + schedule both skipped).
+        before = memo.hits
         assert memo.run_ablated(trace, LIMIT_STUDY_TAGS).cycles == expected
-        assert memo.cache_stats.hits == before + 1
+        assert memo.hits == before + 1
 
     def test_full_and_ablated_keys_never_alias(self):
         model = TimingModel()
@@ -180,19 +129,14 @@ class TestAllocatorSwitch:
     def test_tcmalloc_exposes_stats(self):
         alloc = TCMalloc()
         alloc.malloc(64)
-        stats = alloc.trace_cache_stats
-        assert stats is not None
-        assert stats.lookups > 0
-
-    def test_tcmalloc_memoize_false(self):
-        alloc = TCMalloc(memoize_traces=False)
-        assert alloc.trace_cache_stats is None
-        ptr, record = alloc.malloc(64)
-        assert record.cycles > 0
+        timing = alloc.machine.timing
+        assert timing.hits + timing.misses > 0
 
     def test_memoization_does_not_change_call_records(self):
         def replay(memoize):
-            alloc = TCMalloc(memoize_traces=memoize)
+            alloc = TCMalloc()
+            if not memoize:
+                schedule_unmemoized(alloc.machine.timing)
             out = []
             for i in range(40):
                 ptr, rec = alloc.malloc(64 if i % 2 else 256)
@@ -203,13 +147,62 @@ class TestAllocatorSwitch:
         assert replay(True) == replay(False)
 
 
+class TestScheduleStore:
+    """The columnar engine's process-wide store: consulted only by columnar
+    models, and invisible to every counter."""
+
+    def test_store_is_columnar_only(self, monkeypatch):
+        monkeypatch.setattr(timing_mod, "_STORES", {})
+        trace = small_trace(tag=Tag.SIZE_CLASS)
+        tags = frozenset({Tag.SIZE_CLASS})
+        truth = TimingModel(columnar=False)
+        want_full = truth.run(trace).cycles
+        want_ablated = truth.run_ablated(trace, tags).cycles
+        assert timing_mod._STORES == {}  # the reference engine never writes
+        poison = TimingResult(cycles=999_999)
+        store = timing_mod._STORES.setdefault(CoreConfig(), {})
+        store[trace.fingerprint_key()] = poison
+        store[(trace.fingerprint_key(), tags)] = poison
+        reference = TimingModel(columnar=False)
+        assert reference.run(trace).cycles == want_full
+        assert reference.run_ablated(trace, tags).cycles == want_ablated
+        columnar = TimingModel(columnar=True)
+        assert columnar.run(trace) is poison
+        assert columnar.run_ablated(trace, tags) is poison
+
+    def test_prefilled_store_is_neutral(self, monkeypatch):
+        monkeypatch.setattr(timing_mod, "_STORES", {})
+        workload = MICROBENCHMARKS["tp_small"]
+
+        def replay():
+            alloc = make_mallacc()
+            result = run_workload(alloc, workload.ops(seed=7, num_ops=400))
+            return alloc, {
+                "cycles": [r.cycles for r in result.records],
+                "ablated": [dict(r.ablated) for r in result.records],
+                "memo": (result.trace_cache_hits, result.trace_cache_misses),
+                "intern": (result.intern_hits, result.intern_misses),
+            }
+
+        alloc, cold = replay()
+        stored = sum(len(s) for s in timing_mod._STORES.values())
+        _, prefilled = replay()
+        assert prefilled == cold
+        assert cold["memo"][1] > 0
+        if alloc.machine.timing.columnar:
+            # Every miss of the second replay was served by the store.
+            assert stored == cold["memo"][1]
+            assert sum(len(s) for s in timing_mod._STORES.values()) == stored
+        else:
+            assert timing_mod._STORES == {}
+
+
 @given(traces())
 @settings(max_examples=60, deadline=None)
 def test_memoized_equals_unmemoized(trace):
     """The tentpole property: memoization is observationally invisible."""
     memo = TimingModel(CoreConfig())
-    plain = TimingModel(CoreConfig(trace_cache_entries=0))
-    a, b = memo.run(trace), plain.run(trace)
+    a, b = memo.run(trace), TimingModel(CoreConfig())._schedule(trace)
     assert a.cycles == b.cycles
     assert a.issue_times == b.issue_times
     assert a.ready_times == b.ready_times
@@ -219,23 +212,7 @@ def test_memoized_equals_unmemoized(trace):
 @settings(max_examples=60, deadline=None)
 def test_memoized_ablation_equals_unmemoized(trace, tags):
     memo = TimingModel(CoreConfig())
-    plain = TimingModel(CoreConfig(trace_cache_entries=0))
+    plain = TimingModel(CoreConfig())
     memo.run(trace)  # populate the full-run entry first; must not alias
-    assert memo.run_ablated(trace, tags).cycles == plain.run_ablated(trace, tags).cycles
-
-
-@given(traces())
-@settings(max_examples=40, deadline=None)
-def test_tiny_cache_thrash_still_correct(trace):
-    """Constant eviction (capacity 1) must never change an answer."""
-    tiny = TimingModel(CoreConfig(trace_cache_entries=1))
-    plain = TimingModel(CoreConfig(trace_cache_entries=0))
-    for tags in (None, {Tag.SIZE_CLASS}, None, {Tag.PUSH_POP, Tag.SAMPLING}):
-        if tags is None:
-            assert tiny.run(trace).cycles == plain.run(trace).cycles
-        else:
-            assert (
-                tiny.run_ablated(trace, tags).cycles
-                == plain.run_ablated(trace, tags).cycles
-            )
-    assert len(tiny.cache) == 1
+    expected = plain._schedule(trace.without_tags(tags)).cycles
+    assert memo.run_ablated(trace, tags).cycles == expected

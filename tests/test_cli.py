@@ -60,6 +60,14 @@ class TestCli:
         out = run_cli(capsys, "trace-run", str(trace), "--entries", "16")
         assert "malloc speedup" in out
 
+    def test_trace_run_bad_file_exits_cleanly(self, tmp_path):
+        trace = tmp_path / "bad.trace"
+        trace.write_text("# repro-trace v1\nm 0 64\nm 1 64 -500 3\n")
+        with pytest.raises(SystemExit, match="line 3: negative gap"):
+            main(["trace-run", str(trace)])
+        with pytest.raises(SystemExit, match="cannot replay trace"):
+            main(["trace-run", str(tmp_path / "missing.trace")])
+
     def test_profile(self, capsys):
         out = run_cli(capsys, "profile", "tp_small", "--ops", "400")
         assert "replay" in out and "schedule" in out

@@ -46,6 +46,23 @@ class TestFormat:
         with pytest.raises(TraceFormatError, match="too few"):
             parse_line("m 5", 2)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("m -1 64", "negative slot"),
+            ("F 1 -8", "negative size"),
+            ("m 1 64 -500 3", "negative gap"),
+            ("m 1 64 10 -7", "negative app_lines"),
+            ("f 1 64 10 -7 w", "negative app_lines"),
+            ("m 1 64 1 2 3 4 5", "surplus fields"),
+            ("m 1 64 1 2 3 w", "surplus fields"),
+            ("A junk", "surplus fields"),
+        ],
+    )
+    def test_bad_fields_rejected_with_line_number(self, line, message):
+        with pytest.raises(TraceFormatError, match=f"line 9: {message}"):
+            parse_line(line, 9)
+
     def test_defaults_for_optional_fields(self):
         op = parse_line("m 3 128")
         assert op.gap_cycles == 0 and op.app_lines == 0 and not op.warmup
