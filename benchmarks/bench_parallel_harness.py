@@ -2,8 +2,8 @@
 
 Runs a smoke experiment matrix (four macro workloads × two malloc-cache
 sizes) twice — serially in-process (``jobs=1``) and sharded across four
-fork-server worker processes (``jobs=4``, auto-sized cell batches, one
-executor, prewarmed warm bank) — and writes ``BENCH_parallel_harness.json``
+fork-server worker processes (``jobs=4``, one task per cell, one executor,
+parent-generated op streams) — and writes ``BENCH_parallel_harness.json``
 at the repository root with:
 
 * wall-clock for both paths (best of ``REPRO_BENCH_REPEATS`` attempts,
@@ -12,17 +12,14 @@ at the repository root with:
   the serial bytes);
 * a resume check: after deleting two checkpoints, a ``resume=True`` rerun
   recomputes exactly those two cells and reproduces identical bytes;
-* harness shape: resolved batch size, batches dispatched, pools created,
-  and the warm-bank sizes/hit counters;
+* harness shape: pools created and the op-stream bank's size and hits;
 * the pooled trace-cache hit rate across all cells.
 
 The speedup criterion is only meaningful with real parallelism available:
 
-* ``cpus_affinity >= 4`` — the ≥1.5x floor is enforced
+* ``cpus_affinity >= 2`` — the ≥1.5x floor is enforced
   (``speedup_asserted: true``; ``benchmarks/bench_floors.json`` holds the
   regression floor checked by ``check_bench_regression.py``);
-* ``2 <= cpus_affinity < 4`` — speedup is measured and recorded honestly
-  but not asserted;
 * ``cpus_affinity < 2`` — the whole benchmark **skips** (visibly, via
   ``pytest.skip``, never a silent pass): a single-CPU container cannot
   measure parallelism at all.
@@ -58,7 +55,7 @@ REPEATS = max(1, int(os.environ.get("REPRO_BENCH_REPEATS", "1")))
 
 #: Enforced floor at jobs=4 on hosts with >= MIN_ASSERT_CPUS usable CPUs.
 SPEEDUP_FLOOR = 1.5
-MIN_ASSERT_CPUS = 4
+MIN_ASSERT_CPUS = 2
 MIN_MEASURE_CPUS = 2
 
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_parallel_harness.json"
@@ -130,8 +127,6 @@ def main() -> dict:
         "speedup_floor": SPEEDUP_FLOOR,
         "speedup_asserted": cpus_affinity >= MIN_ASSERT_CPUS,
         "bit_identical": sharded_bytes == serial_bytes,
-        "batch_size": sharded.stats.batch_size,
-        "batches": sharded.stats.batches,
         "pools_created": sharded.stats.pools_created,
         "warm": dict(sharded.stats.warm),
         "resume": {
@@ -143,13 +138,13 @@ def main() -> dict:
         "quarantined": sorted(sharded.quarantined),
         "notes": (
             "serial is run_matrix(jobs=1) in-process; sharded is jobs=4 "
-            "fork-server workers (auto-batched cells, one executor, prewarmed "
-            "warm bank) with group-committed checkpoints.  cpus_affinity is "
-            "sched_getaffinity (the container quota), cpus_logical is "
-            "os.cpu_count().  speedup_asserted=false means the host exposed "
-            "fewer than 4 usable CPUs, so the >=1.5x floor is recorded but "
-            "not enforced (byte-identity and resume always are); under 2 "
-            "usable CPUs the pytest entry point skips outright."
+            "fork-server workers (one task per cell, one executor, "
+            "parent-generated op streams) with per-cell checkpoints.  "
+            "cpus_affinity is sched_getaffinity (the container quota), "
+            "cpus_logical is os.cpu_count().  speedup_asserted=false means "
+            "the host exposed fewer than 2 usable CPUs, so the >=1.5x floor "
+            "is recorded but not enforced (byte-identity and resume always "
+            "are); the pytest entry point skips outright there."
         ),
     }
     OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
@@ -186,8 +181,7 @@ def test_bench_parallel_harness():
     print(f"sharded (x{payload['jobs']}) : {payload['seconds_sharded']:.2f}s "
           f"-> {payload['speedup']:.2f}x on {payload['cpus_affinity']} usable CPUs "
           f"({payload['cpus_logical']} logical)")
-    print(f"batches      : {payload['batches']} of ~{payload['batch_size']} cells, "
-          f"{payload['pools_created']} pool(s)")
+    print(f"pools        : {payload['pools_created']}")
     print(f"resume       : skipped {payload['resume']['resumed_cells']}, "
           f"recomputed {payload['resume']['recomputed_cells']}")
     print(f"written to   : {OUT_PATH}")

@@ -224,7 +224,6 @@ def cmd_sweep(args: argparse.Namespace) -> None:
         jobs=args.jobs,
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
-        batch_size=args.batch_size,
     )
     print(
         render_series(
@@ -331,8 +330,6 @@ def cmd_matrix(args: argparse.Namespace) -> None:
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
         progress=progress,
-        batch_size=args.batch_size,
-        prewarm=not args.no_prewarm,
     )
     payload = matrix_to_json(result)
     if args.out:
@@ -500,7 +497,6 @@ def cmd_traffic(args: argparse.Namespace) -> None:
             _config(models[0]), loads=loads, arrivals=models,
             cache_entries=args.entries, jobs=args.jobs,
             checkpoint_dir=args.checkpoint_dir, resume=args.resume,
-            batch_size=args.batch_size,
         )
         rows = [
             [p["arrival"], f"{p['load']:.2f}", f"{p['offered_rps']:.1f}",
@@ -684,16 +680,6 @@ def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--resume", action="store_true",
         help="skip cells already checkpointed in --checkpoint-dir",
-    )
-    parser.add_argument(
-        "--batch-size", type=int, default=None, metavar="K",
-        help="cells per worker task (default: auto-size one wave per "
-             "worker; 1 restores per-cell tasks)",
-    )
-    parser.add_argument(
-        "--no-prewarm", action="store_true",
-        help="skip the fork-server warm bank (debugging; results are "
-             "bit-identical either way, just slower)",
     )
 
 

@@ -152,9 +152,9 @@ def compare_workload(
     ``ops`` injects a pre-generated stream instead of generating one from
     ``(seed, num_ops)`` — it must equal ``list(workload.ops(seed=seed,
     num_ops=num_ops))`` for the result to be meaningful.  The parallel
-    harness uses this to share one read-only stream across the cells of a
-    workload family (:mod:`repro.sim.warm`); the stream is deterministic, so
-    injection is invisible to results.
+    harness uses this to share one parent-generated read-only stream across
+    the cells of a workload family (:class:`repro.harness.parallel.WarmBank`);
+    the stream is deterministic, so injection is invisible to results.
     """
     ops = list(workload.ops(seed=seed, num_ops=num_ops)) if ops is None else list(ops)
 

@@ -18,48 +18,40 @@ shards that experiment matrix across a ``multiprocessing`` worker pool:
   up to ``max_retries`` times; a cell that keeps failing is *quarantined*
   and reported in the result, never silently dropped.  A worker process
   dying mid-task (OOM-kill, segfault) surfaces as a broken-pool error on
-  its round; only then is the pool rebuilt, and only the batches in flight
+  its round; only then is the pool rebuilt, and only the cells in flight
   on it are retried;
 * **observability** — a structured progress stream (``progress`` callback
   receiving dict events) reports tasks done/failed/retried/quarantined,
   per-cell wall time, and the pooled trace-cache hit rate via
   :func:`~repro.harness.metrics.trace_cache_summary`.
 
-Sharding is amortized three ways so ``jobs > 1`` wins even on the small
-cells sampled methodologies produce (SMARTS-style interval plans make
-cells *cheaper*, which makes per-task overhead *relatively* costlier):
+Scheduling is deliberately plain, because the cells sampled methodologies
+produce (SMARTS-style interval plans) are small and numerous, and whatever
+the pool adds per cell is what limits their throughput:
 
-* **cell batching** — workers receive *batches* of cells per task
-  (:func:`plan_batches`), grouped locality-aware by workload family so a
-  batch's cells share one warm read-only op stream and the same interned
-  fast-path templates.  ``batch_size=None`` auto-sizes
-  (:func:`auto_batch_size`); ``1`` restores per-cell tasks;
-* **fork-server workers** — the pool ``initializer`` installs a
-  :class:`~repro.sim.warm.WarmBank` pre-built by the parent (tiny warm
-  replays per workload family) holding interned trace templates and
-  read-only op streams; the same warm replays fill the columnar engine's
-  process-wide schedule store, which workers inherit through ``fork``.
-  Both are telemetry-neutral by construction: they satisfy cache *misses*
-  after the miss is counted, so per-cell summaries and pooled metrics are
-  byte-identical to cold serial runs;
+* **one cell per task, in matrix order** — the pool work-steals single
+  cells, so no worker idles while another drains a multi-cell batch (cell
+  costs differ severalfold across workload families);
+* **parent-side op streams** — before the pool starts, the parent
+  generates each distinct op stream once (:func:`build_warm_bank`) and the
+  pool ``initializer`` hands the read-only :class:`WarmBank` to every
+  worker (inherited for free under ``fork``).  The streams are
+  seed-deterministic, so sharing them is invisible to results;
 * **one pool per run** — the ``ProcessPoolExecutor`` is created once and
   reused across retry rounds; it is rebuilt only after a
-  ``BrokenProcessPool`` (a worker killed outright), and checkpoint writes
-  are group-committed per completed batch instead of one fsync-ish round
-  trip per cell.
+  ``BrokenProcessPool`` (a worker killed outright).
 
 Entry points: ``build_matrix`` to enumerate cells, ``run_matrix`` to
 execute them, ``matrix_figure_data`` for the canonical (order-stable,
 wall-time-free) figure/table payload.  Wired through
 ``repro.harness.sweeps`` (``jobs=``), the CLI (``python -m repro matrix
---jobs N --batch-size K --resume --checkpoint-dir D``) and
+--jobs N --resume --checkpoint-dir D``) and
 ``benchmarks/bench_parallel_harness.py``.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 import time
@@ -67,20 +59,15 @@ import zlib
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
-
-from repro.sim import warm as warm_state
+from typing import Callable, Iterable, Sequence
 
 from repro.harness.experiments import (
     compare_workload,
     compare_workload_sampled,
-    make_baseline,
-    make_mallacc,
     summarize_comparison,
     summarize_sampled_comparison,
 )
 from repro.harness.metrics import intern_summary, sampling_summary, trace_cache_summary
-from repro.harness.runner import run_workload
 from repro.obs.bridges import matrix_registry, run_registry
 from repro.obs.manifest import collect_manifest
 from repro.obs.tracer import get_tracer
@@ -259,15 +246,7 @@ def run_cell(cell: SweepCell) -> CellResult:
         raise ValueError(f"unknown workload {cell.workload!r}")
     workload = registry[cell.workload]
     manifest = collect_manifest(asdict(cell), seed=cell.seed, cell_id=cell.cell_id)
-    # In a pool worker with a warm bank installed, cells of one workload
-    # family share a single read-only op stream across batches; without a
-    # bank (the serial path) this generates the stream exactly as before.
-    ops = warm_state.stream_for(
-        cell.workload,
-        cell.seed,
-        cell.num_ops,
-        lambda: workload.ops(seed=cell.seed, num_ops=cell.num_ops),
-    )
+    ops = _op_stream(cell, workload)
     if cell.sampled:
         comparison = compare_workload_sampled(
             workload,
@@ -332,8 +311,7 @@ def checkpoint_path(checkpoint_dir: str | os.PathLike, cell: SweepCell) -> Path:
 
 
 def write_checkpoint(checkpoint_dir: str | os.PathLike, cell: SweepCell, result: CellResult) -> Path:
-    """Atomically persist one completed cell (temp file + rename, so a kill
-    mid-write never leaves a truncated checkpoint behind)."""
+    """Persist one completed cell (see :func:`write_checkpoints`)."""
     (target,) = write_checkpoints(checkpoint_dir, [(cell, result)])
     return target
 
@@ -342,40 +320,29 @@ def write_checkpoints(
     checkpoint_dir: str | os.PathLike,
     pairs: Sequence[tuple[SweepCell, CellResult]],
 ) -> list[Path]:
-    """Group-commit a batch of completed cells.
-
-    The per-cell file layout is unchanged (one ``<cell_id>.json`` each, so
-    batched and unbatched checkpoint directories stay mutually resumable),
-    but the write is coalesced: every payload is staged to a temp file
-    first, then all staged files are committed with ``os.replace`` in one
-    pass.  Each individual rename keeps the old atomicity guarantee — a
-    kill mid-flush leaves some cells committed and none truncated."""
+    """Atomically persist completed cells, one ``<cell_id>.json`` each
+    (temp file + rename, so a kill mid-write never leaves a truncated
+    checkpoint behind)."""
     directory = Path(checkpoint_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    staged: list[tuple[str, Path]] = []
     targets: list[Path] = []
-    try:
-        for cell, result in pairs:
-            payload = {
-                "version": CHECKPOINT_VERSION,
-                "cell": asdict(cell),
-                "result": asdict(result),
-            }
-            fd, tmp = tempfile.mkstemp(
-                prefix=f".{cell.cell_id}.", suffix=".tmp", dir=directory
-            )
+    for cell, result in pairs:
+        payload = {
+            "version": CHECKPOINT_VERSION,
+            "cell": asdict(cell),
+            "result": asdict(result),
+        }
+        fd, tmp = tempfile.mkstemp(prefix=f".{cell.cell_id}.", suffix=".tmp", dir=directory)
+        try:
             with os.fdopen(fd, "w") as fh:
                 json.dump(payload, fh, sort_keys=True)
-            staged.append((tmp, checkpoint_path(directory, cell)))
-        while staged:
-            tmp, target = staged.pop(0)
+            target = checkpoint_path(directory, cell)
             os.replace(tmp, target)
-            targets.append(target)
-    except BaseException:
-        for tmp, _ in staged:
+        except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-        raise
+            raise
+        targets.append(target)
     return targets
 
 
@@ -388,6 +355,8 @@ def load_checkpoint(checkpoint_dir: str | os.PathLike, cell: SweepCell) -> CellR
         payload = json.loads(path.read_text())
     except (OSError, ValueError):
         return None
+    if not isinstance(payload, dict):
+        return None
     if payload.get("version") != CHECKPOINT_VERSION:
         return None
     if payload.get("cell") != asdict(cell):
@@ -399,146 +368,97 @@ def load_checkpoint(checkpoint_dir: str | os.PathLike, cell: SweepCell) -> CellR
 
 
 # ---------------------------------------------------------------------------
-# Batch planning
+# Fork-server op streams
 # ---------------------------------------------------------------------------
-MAX_BATCH_CELLS = 8
-"""Auto-sizing cap: batches larger than this stop amortizing anything (the
-per-task overhead is already noise) and only hurt retry granularity — a
-failed batch is retried whole."""
+STREAM_PREWARM_MAX_OPS = 20_000
+"""Streams longer than this are not pre-generated parent-side (memory),
+only memoized lazily in whichever worker first replays them."""
+
+MAX_WORKER_STREAMS = 16
+"""Worker-side cap on lazily memoized op streams; evicting the oldest one
+costs a regeneration, never correctness."""
 
 
-def auto_batch_size(num_pending: int, jobs: int) -> int:
-    """Default batch size: pack the round into one task wave per worker,
-    capped at :data:`MAX_BATCH_CELLS` so huge matrices keep work-stealing
-    granularity (stragglers rebalance across waves)."""
-    if jobs <= 1 or num_pending <= 0:
-        return 1
-    return max(1, min(MAX_BATCH_CELLS, math.ceil(num_pending / jobs)))
+@dataclass
+class WarmBank:
+    """Read-only op streams shared by every worker of one pool.
 
-
-def plan_batches(
-    pending: Sequence[SweepCell],
-    jobs: int,
-    batch_size: int | None = None,
-) -> list[list[SweepCell]]:
-    """Chunk ``pending`` into per-task batches, locality-aware.
-
-    Cells are grouped by workload family first (preserving matrix order
-    within each family), then chunked to ``batch_size``: cells of one
-    family share a seed (:func:`derive_seed`) and therefore one read-only
-    op stream and the same interned fast-path templates, so a family batch
-    pays the stream/template cost once.  Execution order never affects
-    results (cells are hermetic); only task-overhead amortization does.
+    ``streams`` also grows worker-side as cells generate streams the parent
+    did not pre-build (bounded by :data:`MAX_WORKER_STREAMS`).
+    ``stream_hits`` is per-process telemetry that never feeds cell results.
     """
-    if batch_size is None:
-        batch_size = auto_batch_size(len(pending), jobs)
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    groups: dict[str, list[SweepCell]] = {}
-    for cell in pending:
-        groups.setdefault(cell.workload, []).append(cell)
-    batches: list[list[SweepCell]] = []
-    for cells in groups.values():
-        for i in range(0, len(cells), batch_size):
-            batches.append(cells[i : i + batch_size])
-    return batches
+
+    streams: dict[tuple, tuple] = field(default_factory=dict)
+    """``(workload, seed, num_ops)`` → read-only tuple of ``Op``."""
+    stream_hits: int = 0
+
+    def summary(self) -> dict[str, int]:
+        """JSON-ready bank size and hit counter (for :class:`MatrixStats` and
+        :func:`repro.obs.bridges.warm_registry`; kept out of cell metrics)."""
+        return {"streams": len(self.streams), "stream_hits": self.stream_hits}
 
 
-# ---------------------------------------------------------------------------
-# Fork-server warm state
-# ---------------------------------------------------------------------------
-WARM_REPLAY_OPS = 96
-"""Ops per throwaway warm replay.  Enough to exercise every fast-path shape
-a family emits (fill + steady state on a small thread cache); small enough
-that prewarm stays a rounding error next to one real cell."""
+_BANK: WarmBank | None = None
+"""This process's bank: set in pool workers only, so serial runs stay cold."""
 
 
-def _worker_init(bank: warm_state.WarmBank | None) -> None:
-    """Pool initializer: installs the parent-built warm bank in the worker
-    (the fork-server handshake).  Runs once per worker process."""
-    warm_state.install_bank(bank)
+def _worker_init(bank: WarmBank | None) -> None:
+    """Pool initializer: installs the parent-built bank in the worker (the
+    fork-server handshake).  Runs once per worker process."""
+    global _BANK
+    _BANK = bank
 
 
-def build_warm_bank(
-    cells: Sequence[SweepCell], warm_ops: int = WARM_REPLAY_OPS
-) -> warm_state.WarmBank:
-    """Parent-side prewarm: build the :class:`~repro.sim.warm.WarmBank` the
-    pool initializer ships to every worker.
-
-    Per distinct ``(workload, seed, cache_entries, app-traffic)`` family the
-    parent replays a ``warm_ops``-op prefix under both baseline and Mallacc
-    allocators and harvests the machines' interned templates; the replays
-    also fill the columnar engine's process-wide schedule store
-    (:mod:`repro.sim.timing`), which the pool's ``fork``-started workers
-    inherit.  Both are keyed by content (``(site, tokens, latencies)``
-    triples, canonical fingerprints), so a truncated warm replay only
-    bounds *coverage*, never correctness.  Op streams small
-    enough to hold (:data:`~repro.sim.warm.STREAM_PREWARM_MAX_OPS`) are
-    pre-generated here so every worker inherits them read-only; larger
-    streams stay lazy, memoized worker-side on first use.
-    """
+def build_warm_bank(cells: Sequence[SweepCell]) -> WarmBank:
+    """Parent-side pre-generation of every distinct op stream of ``cells``
+    no longer than :data:`STREAM_PREWARM_MAX_OPS`, for the pool initializer
+    to ship to every worker.  Builds no allocator and replays nothing."""
     from repro.workloads import MACRO_WORKLOADS, MICROBENCHMARKS
 
     registry = {**MICROBENCHMARKS, **MACRO_WORKLOADS}
-    bank = warm_state.WarmBank()
-    warmed: set[tuple] = set()
+    bank = WarmBank()
     for cell in cells:
         workload = registry.get(cell.workload)
-        if workload is None:
-            continue
-        stream_key = (cell.workload, cell.seed, cell.num_ops)
+        key = (cell.workload, cell.seed, cell.num_ops)
         if (
-            cell.num_ops <= warm_state.STREAM_PREWARM_MAX_OPS
-            and stream_key not in bank.streams
+            workload is not None
+            and cell.num_ops <= STREAM_PREWARM_MAX_OPS
+            and key not in bank.streams
         ):
-            bank.streams[stream_key] = tuple(
-                workload.ops(seed=cell.seed, num_ops=cell.num_ops)
-            )
-        family = (
-            cell.workload, cell.seed, cell.cache_entries,
-            cell.model_app_traffic, cell.allocator,
-        )
-        if family in warmed:
-            continue
-        warmed.add(family)
-        n = min(warm_ops, cell.num_ops)
-        full = bank.streams.get(stream_key)
-        ops = list(full[:n]) if full is not None else list(
-            workload.ops(seed=cell.seed, num_ops=n)
-        )
-        for alloc in (
-            make_baseline(allocator=cell.allocator),
-            make_mallacc(cache_entries=cell.cache_entries, allocator=cell.allocator),
-        ):
-            run_workload(
-                alloc, ops,
-                name=cell.workload,
-                model_app_traffic=cell.model_app_traffic,
-            )
-            warm_state.harvest_machine(bank, alloc.machine)
+            bank.streams[key] = tuple(workload.ops(seed=cell.seed, num_ops=cell.num_ops))
     return bank
 
 
-def _run_cell_batch(
-    cell_fn: Callable[[SweepCell], CellResult], cells: Sequence[SweepCell]
-) -> tuple[list[tuple[str, bool, CellResult | str]], tuple[int, int]]:
-    """Worker-side task: run one batch of cells, isolating per-cell failure.
+def _op_stream(cell: SweepCell, workload) -> Iterable:
+    """``cell``'s op stream: generated afresh with no bank installed (the
+    serial path), else served from and memoized into the worker's bank.
+    Streams are seed-deterministic, so reuse is invisible to results."""
+    bank = _BANK
+    if bank is None:
+        return workload.ops(seed=cell.seed, num_ops=cell.num_ops)
+    key = (cell.workload, cell.seed, cell.num_ops)
+    ops = bank.streams.get(key)
+    if ops is not None:
+        bank.stream_hits += 1
+        return ops
+    ops = bank.streams[key] = tuple(workload.ops(seed=cell.seed, num_ops=cell.num_ops))
+    while len(bank.streams) > MAX_WORKER_STREAMS:
+        bank.streams.pop(next(iter(bank.streams)))
+    return ops
 
-    Returns per-cell ``(cell_id, ok, result-or-error)`` outcomes plus this
-    task's warm-bank hit delta — one exploding cell never takes its batch
-    siblings down with it (only a *worker death* does, via the broken pool).
-    """
-    bank = warm_state.active_bank()
-    before = bank.counters() if bank is not None else (0, 0)
-    outcomes: list[tuple[str, bool, CellResult | str]] = []
-    for cell in cells:
-        try:
-            outcomes.append((cell.cell_id, True, _timed_cell(cell_fn, cell)))
-        except Exception as exc:
-            outcomes.append((cell.cell_id, False, f"{type(exc).__name__}: {exc}"))
-    after = bank.counters() if bank is not None else (0, 0)
-    delta = (after[0] - before[0], after[1] - before[1])
-    return outcomes, delta
+
+def _run_pooled_cell(
+    cell_fn: Callable[[SweepCell], CellResult], cell: SweepCell
+) -> tuple[CellResult | None, str, int]:
+    """Worker-side task: one timed cell or its error, plus the task's
+    bank-hit delta.  The error travels as a string, so an exception that
+    does not pickle still fails only its cell, never the pool."""
+    before = _BANK.stream_hits if _BANK is not None else 0
+    try:
+        result, error = _timed_cell(cell_fn, cell), ""
+    except Exception as exc:
+        result, error = None, f"{type(exc).__name__}: {exc}"
+    return result, error, (_BANK.stream_hits if _BANK is not None else 0) - before
 
 
 # ---------------------------------------------------------------------------
@@ -556,15 +476,13 @@ class MatrixStats:
     cells_retried: int = 0
     cells_quarantined: int = 0
     wall_seconds: float = 0.0
-    batch_size: int = 1
-    """Resolved first-round batch size (auto-sizing included)."""
     batches: int = 0
-    """Pool tasks dispatched (inline cells count one each)."""
+    """Tasks dispatched, one per cell attempt (inline cells count too)."""
     pools_created: int = 0
     """Executors built over the run: 1 on a clean sharded run, +1 per
     broken-pool rebuild, 0 when everything ran inline or was resumed."""
     warm: dict[str, int] = field(default_factory=dict)
-    """Warm-bank sizes (parent-side) and pooled worker hit counters — pure
+    """Bank size (parent-side) and pooled worker stream hits — pure
     measurement machinery, never merged into cell metrics."""
     per_cell_wall: dict[str, float] = field(default_factory=dict)
     trace_cache: dict[str, float] = field(default_factory=dict)
@@ -598,91 +516,74 @@ def _emit(progress: Callable[[dict], None] | None, event: dict) -> None:
 
 @dataclass
 class _RoundOutcome:
-    """One :func:`_attempt_round`'s results."""
+    """One :func:`_attempt_round`'s results (completed cells go to its
+    ``on_done`` hook as they finish)."""
 
-    done: dict[str, CellResult] = field(default_factory=dict)
     failed: dict[str, str] = field(default_factory=dict)
     pool_broken: bool = False
     """A worker died outright this round; the caller must rebuild the pool
     before the next round (the only time a pool is ever rebuilt)."""
-    warm_hits: tuple[int, int] = (0, 0)
-    batches: int = 0
+    stream_hits: int = 0
 
 
 def _attempt_round(
     pending: list[SweepCell],
     cell_fn: Callable[[SweepCell], CellResult],
     jobs: int,
-    pool: ProcessPoolExecutor | None = None,
-    batch_size: int | None = None,
-    on_batch: Callable[[dict[str, CellResult]], None] | None = None,
+    pool: ProcessPoolExecutor | None,
+    on_done: Callable[[str, CellResult], None],
 ) -> _RoundOutcome:
     """Run one attempt over ``pending`` cells.
 
     ``jobs <= 1`` executes inline (no pool: deterministic, debuggable, and
-    what the serial differential baseline uses), flushing cell by cell.
-    Otherwise cells are dispatched to the *caller-owned* ``pool`` in
-    :func:`plan_batches` batches; ``on_batch`` fires after each batch with
-    its completed cells (the checkpoint group-commit hook).  A broken pool
-    — a worker killed outright — fails only the batches in flight on it and
-    sets ``pool_broken`` so the caller rebuilds once, not per attempt.
+    what the serial differential baseline uses).  Otherwise every cell is
+    one task on the *caller-owned* ``pool``, submitted in matrix order.
+    ``on_done`` fires with each completed cell (the checkpoint hook).  A
+    broken pool — a worker killed outright — fails only the cells in flight
+    on it and sets ``pool_broken`` so the caller rebuilds once, not per
+    attempt.
     """
     out = _RoundOutcome()
     if jobs <= 1:
         for cell in pending:
-            out.batches += 1
             try:
                 result = _timed_cell(cell_fn, cell)
             except Exception as exc:
                 out.failed[cell.cell_id] = f"{type(exc).__name__}: {exc}"
                 continue
-            out.done[cell.cell_id] = result
-            if on_batch is not None:
-                on_batch({cell.cell_id: result})
+            on_done(cell.cell_id, result)
         return out
 
     if pool is None:  # pragma: no cover - caller contract
         raise ValueError("jobs > 1 requires a pool")
-    batches = plan_batches(pending, jobs, batch_size)
-    out.batches = len(batches)
     futures = {}
     submit_error: str | None = None
-    for batch in batches:
+    for cell in pending:
         if submit_error is None:
             try:
-                futures[pool.submit(_run_cell_batch, cell_fn, batch)] = batch
+                futures[pool.submit(_run_pooled_cell, cell_fn, cell)] = cell
                 continue
             except BrokenExecutor as exc:
                 out.pool_broken = True
                 submit_error = f"{type(exc).__name__}: {exc}"
-        for cell in batch:
-            out.failed[cell.cell_id] = submit_error
-    warm = [0, 0]
+        out.failed[cell.cell_id] = submit_error
     for future in as_completed(futures):
-        batch = futures[future]
+        cell = futures[future]
         try:
-            outcomes, delta = future.result()
+            result, error, hits = future.result()
         except Exception as exc:
-            # Includes BrokenProcessPool: every batch in flight on a killed
-            # pool lands here and is retried on the rebuilt pool.  Batches
+            # Includes BrokenProcessPool: every cell in flight on a killed
+            # pool lands here and is retried on the rebuilt pool.  Cells
             # that already completed are checkpointed and never re-run.
             if isinstance(exc, BrokenExecutor):
                 out.pool_broken = True
-            error = f"{type(exc).__name__}: {exc}"
-            for cell in batch:
-                out.failed[cell.cell_id] = error
+            out.failed[cell.cell_id] = f"{type(exc).__name__}: {exc}"
             continue
-        warm = [a + b for a, b in zip(warm, delta)]
-        batch_done: dict[str, CellResult] = {}
-        for cell_id, ok, payload in outcomes:
-            if ok:
-                out.done[cell_id] = payload
-                batch_done[cell_id] = payload
-            else:
-                out.failed[cell_id] = payload
-        if batch_done and on_batch is not None:
-            on_batch(batch_done)
-    out.warm_hits = tuple(warm)
+        out.stream_hits += hits
+        if result is None:
+            out.failed[cell.cell_id] = error
+        else:
+            on_done(cell.cell_id, result)
     return out
 
 
@@ -695,26 +596,20 @@ def run_matrix(
     backoff_seconds: float = 0.1,
     progress: Callable[[dict], None] | None = None,
     cell_fn: Callable[[SweepCell], CellResult] = run_cell,
-    batch_size: int | None = None,
-    prewarm: bool = True,
 ) -> MatrixResult:
     """Shard ``cells`` across ``jobs`` workers with checkpoints and retry.
 
     * ``resume=True`` (requires ``checkpoint_dir``) skips every cell whose
       checkpoint matches its definition;
-    * completed cells are checkpointed as each batch finishes (group
-      commit), so *any* interrupted run with a checkpoint directory is
-      resumable — batched and unbatched directories interchange freely;
+    * every completed cell is checkpointed as it finishes, so *any*
+      interrupted run with a checkpoint directory is resumable;
     * a cell failing more than ``max_retries`` times is quarantined into
       ``MatrixResult.quarantined`` with its last error;
     * ``cell_fn`` must be picklable (a module-level function) when
       ``jobs > 1`` — injectable for fault-injection tests;
-    * ``batch_size=None`` auto-sizes batches (:func:`auto_batch_size`),
-      ``1`` restores per-cell tasks; inline ``jobs <= 1`` runs ignore it;
-    * ``prewarm=True`` builds a :class:`~repro.sim.warm.WarmBank` in the
-      parent and installs it in every worker via the pool initializer
-      (fork-server).  Only the real ``run_cell`` is prewarmed — injected
-      ``cell_fn``s skip the bank automatically.
+    * with ``jobs > 1`` and the real ``run_cell``, the parent pre-generates
+      the op streams (:func:`build_warm_bank`) and the pool initializer
+      installs them in every worker; injected ``cell_fn``s skip the bank.
 
     One executor serves the whole run, surviving retry rounds; it is
     rebuilt only after a broken pool (a worker killed outright).
@@ -741,55 +636,45 @@ def run_matrix(
             stats.cells_resumed += 1
         else:
             pending.append(cell)
-    if jobs > 1:
-        stats.batch_size = (
-            batch_size if batch_size is not None
-            else auto_batch_size(len(pending), jobs)
-        )
     _emit(progress, {
         "event": "start",
         "cells": len(cells),
         "resumed": stats.cells_resumed,
         "jobs": jobs,
-        "batch_size": stats.batch_size,
     })
 
     by_id = {c.cell_id: c for c in cells}
 
-    def flush_batch(batch_done: dict[str, CellResult]) -> None:
-        """Commit one completed batch: checkpoint group-commit, then
-        per-cell accounting and progress events."""
+    def flush(cell_id: str, result: CellResult) -> None:
+        """Commit one completed cell: checkpoint, then accounting and
+        progress events."""
         if checkpoint_dir is not None:
-            write_checkpoints(
-                checkpoint_dir,
-                [(by_id[cid], res) for cid, res in batch_done.items()],
+            write_checkpoints(checkpoint_dir, [(by_id[cell_id], result)])
+        completed[cell_id] = result
+        stats.cells_done += 1
+        stats.per_cell_wall[cell_id] = result.wall_seconds
+        if tracer.enabled:
+            # Worker cells run in other processes; log them parent-side
+            # with explicit endpoints so the matrix trace shows every
+            # cell as a span ending "now".
+            dur_us = max(1, int(result.wall_seconds * 1e6))
+            tracer.complete(
+                "matrix_cell", tracer.now_us() - dur_us, dur_us,
+                cell=cell_id, workload=result.workload,
             )
-        for cell_id, result in batch_done.items():
-            completed[cell_id] = result
-            stats.cells_done += 1
-            stats.per_cell_wall[cell_id] = result.wall_seconds
-            if tracer.enabled:
-                # Worker cells run in other processes; log them parent-side
-                # with explicit endpoints so the matrix trace shows every
-                # cell as a span ending "now".
-                dur_us = max(1, int(result.wall_seconds * 1e6))
-                tracer.complete(
-                    "matrix_cell", tracer.now_us() - dur_us, dur_us,
-                    cell=cell_id, workload=result.workload,
-                )
-            _emit(progress, {
-                "event": "cell_done",
-                "cell": cell_id,
-                "wall_seconds": result.wall_seconds,
-                "done": stats.cells_done + stats.cells_resumed,
-                "total": stats.cells_total,
-            })
+        _emit(progress, {
+            "event": "cell_done",
+            "cell": cell_id,
+            "wall_seconds": result.wall_seconds,
+            "done": stats.cells_done + stats.cells_resumed,
+            "total": stats.cells_total,
+        })
 
-    bank: warm_state.WarmBank | None = None
-    if jobs > 1 and pending and prewarm and cell_fn is run_cell:
+    bank: WarmBank | None = None
+    if jobs > 1 and pending and cell_fn is run_cell:
         bank = build_warm_bank(pending)
     pool: ProcessPoolExecutor | None = None
-    warm_hits = [0, 0]
+    stream_hits = 0
     last_error: dict[str, str] = {}
     attempt = 0
     try:
@@ -816,12 +701,9 @@ def run_matrix(
                     "jobs": jobs,
                     "pools_created": stats.pools_created,
                 })
-            round_out = _attempt_round(
-                pending, cell_fn, jobs,
-                pool=pool, batch_size=batch_size, on_batch=flush_batch,
-            )
-            stats.batches += round_out.batches
-            warm_hits = [a + b for a, b in zip(warm_hits, round_out.warm_hits)]
+            round_out = _attempt_round(pending, cell_fn, jobs, pool, flush)
+            stats.batches += len(pending)
+            stream_hits += round_out.stream_hits
             if round_out.pool_broken and pool is not None:
                 pool.shutdown(wait=False, cancel_futures=True)
                 pool = None
@@ -840,9 +722,7 @@ def run_matrix(
         if pool is not None:
             pool.shutdown()
     if bank is not None:
-        stats.warm = bank.summary()
-        stats.warm["template_hits"] = warm_hits[0]
-        stats.warm["stream_hits"] = warm_hits[1]
+        stats.warm = {**bank.summary(), "stream_hits": stream_hits}
 
     quarantined = {cell.cell_id: last_error[cell.cell_id] for cell in pending}
     for cell_id, error in quarantined.items():

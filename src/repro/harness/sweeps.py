@@ -61,16 +61,13 @@ def sweep_cache_sizes(
     checkpoint_dir: str | None = None,
     resume: bool = False,
     sampling: SamplingConfig | None = None,
-    batch_size: int | None = None,
 ) -> SweepResult:
     """Run one workload across malloc-cache sizes.
 
     ``jobs > 1`` shards the sweep points across worker processes via
     :mod:`repro.harness.parallel` (each point builds fresh machines on the
     identical op stream, so the curve is byte-identical to the serial
-    loop); ``checkpoint_dir``/``resume`` make the sweep interruptible and
-    ``batch_size`` forwards to :func:`repro.harness.parallel.run_matrix`
-    (``None`` auto-sizes batches).
+    loop); ``checkpoint_dir``/``resume`` make the sweep interruptible.
     Sharding requires the default cache-config base — non-default bases are
     not cell-serializable and fall back to the serial path.
 
@@ -80,10 +77,7 @@ def sweep_cache_sizes(
     """
     base = cache_config_base or MallocCacheConfig()
     if jobs > 1 and cache_config_base is None and sampling is None:
-        return _sweep_parallel(
-            workload, sizes, num_ops, seed, jobs, checkpoint_dir, resume,
-            batch_size=batch_size,
-        )
+        return _sweep_parallel(workload, sizes, num_ops, seed, jobs, checkpoint_dir, resume)
     result = SweepResult(
         workload=workload.name, sizes=tuple(sizes), sampled=sampling is not None
     )
@@ -124,7 +118,6 @@ def _sweep_parallel(
     jobs: int,
     checkpoint_dir: str | None,
     resume: bool,
-    batch_size: int | None = None,
 ) -> SweepResult:
     """The sharded sweep: one :class:`~repro.harness.parallel.SweepCell`
     per cache size, all replaying the same seed (Figure 17's methodology)."""
@@ -139,10 +132,7 @@ def _sweep_parallel(
         )
         for size in sizes
     ]
-    matrix = run_matrix(
-        cells, jobs=jobs, checkpoint_dir=checkpoint_dir, resume=resume,
-        batch_size=batch_size,
-    )
+    matrix = run_matrix(cells, jobs=jobs, checkpoint_dir=checkpoint_dir, resume=resume)
     if matrix.quarantined:
         raise RuntimeError(
             f"sweep cells failed after retries: {sorted(matrix.quarantined)}"

@@ -19,7 +19,7 @@ these adapters lift them into one registry after the fact, which is how the
 * :func:`traffic_registry` — a
   :class:`~repro.traffic.engine.TrafficResult`, including its latency
   histograms (bucket-exact: merged shards reproduce serial percentiles);
-* :func:`warm_registry` — a fork-server warm-bank summary
+* :func:`warm_registry` — a matrix run's op-stream bank summary
   (``MatrixStats.warm``), kept out of the byte-compared per-cell metrics;
 * :func:`tuning_registry` — a
   :class:`~repro.harness.tuning.TuningResult` (points evaluated, front
@@ -190,17 +190,15 @@ def warm_registry(
     **labels: object,
 ) -> MetricsRegistry:
     """Lift a warm-bank summary (``MatrixStats.warm`` or
-    :meth:`repro.sim.warm.WarmBank.summary`) into a registry.
+    :meth:`repro.harness.parallel.WarmBank.summary`) into a registry.
 
     Deliberately a *separate* bridge from the per-cell path: warm-bank
     telemetry describes the harness, not the science, and must never be
     merged into ``CellResult.metrics`` — the pooled per-cell registry is
     byte-compared serial-vs-sharded, and serial runs have no bank."""
     reg = registry if registry is not None else MetricsRegistry()
-    for key in ("template_hits", "stream_hits"):
-        reg.counter(f"warm_{key}", **labels).inc(int(warm.get(key, 0)))
-    for key in ("templates", "streams"):
-        reg.gauge(f"warm_{key}", **labels).set(int(warm.get(key, 0)))
+    reg.counter("warm_stream_hits", **labels).inc(int(warm.get("stream_hits", 0)))
+    reg.gauge("warm_streams", **labels).set(int(warm.get("streams", 0)))
     return reg
 
 

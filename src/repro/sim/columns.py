@@ -8,7 +8,7 @@ dependence indices, tag code, cache-line index) cached on the trace object —
 so :class:`~repro.sim.timing.TimingModel` can schedule by walking primitive
 arrays.  Interned templates are shared ``Trace`` instances, so one
 compilation serves every replay hit of that variant, and the columns pickle
-with the trace into :class:`repro.sim.warm.WarmBank`.
+with the trace.
 
 The dependence columns use CSR encoding: ``dep_indices[dep_indptr[i] :
 dep_indptr[i + 1]]`` are the source uop indices of uop ``i``.  Ablation
@@ -30,7 +30,7 @@ from array import array
 from repro.sim.uop import Tag, Trace, Uop, UopKind
 
 #: Kind codes, index == position in the column.  Order is part of the
-#: compiled representation (warm banks pickle columns), so append only.
+#: compiled representation (pickled columns carry codes), so append only.
 KIND_ORDER = (
     UopKind.ALU,
     UopKind.LOAD,
@@ -94,8 +94,7 @@ class TraceColumns:
         self.tag_mask = tag_mask
 
     def __reduce__(self):
-        # Explicit reduce keeps pickles (warm banks) stable against slot
-        # reordering.
+        # Explicit reduce keeps pickles stable against slot reordering.
         return (
             TraceColumns,
             (
@@ -425,8 +424,8 @@ def materialize_struct(struct: tuple, addrs, lats) -> Trace:
 class StructTrace(Trace):
     """A twin-materialized trace: columns and fingerprint are precomputed
     straight from the structure, and the ``Uop`` objects are rebuilt only if
-    something actually walks them (ablation rewrites, debugging, a warm bank
-    loaded by reference-engine code).  The columnar scheduler never does —
+    something actually walks them (ablation rewrites, debugging, an
+    unpickled trace read by reference-engine code).  The columnar scheduler never does —
     it reads ``_columns`` — so the common case skips object construction
     entirely."""
 
@@ -556,9 +555,7 @@ class StructStore:
     the instance-independent ``(site, tokens)`` pair — the counts and the
     size class are *inside* the tokens — and compiled from the token stream
     on first sight by a site-specific compiler.  Structures are pure
-    functions of the key, so one process-wide store serves every machine,
-    and the compiled columns of the materialized traces ship across
-    processes in the warm bank exactly like fast-path templates do.
+    functions of the key, so one process-wide store serves every machine.
     """
 
     __slots__ = ("_structs", "compiled")

@@ -52,9 +52,9 @@ class CoreConfig:
 #: Process-wide schedule stores of the columnar engine, one per core config,
 #: keyed like the per-model memo.  A schedule is a pure function of (key,
 #: config), so results are bit-equal wherever they are recomputed; sharing
-#: them across machines — and, through ``fork``, with pool workers
-#: (:func:`repro.harness.parallel.build_warm_bank`) — skips the scheduling
-#: walk without touching any per-model telemetry.  The reference engine
+#: them across machines (and, through ``fork``, with the pool workers of
+#: :mod:`repro.harness.parallel`) skips the scheduling walk without touching
+#: any per-model telemetry.  The reference engine
 #: never reads or writes a store: it stays the executable spec.  A store is
 #: cleared wholesale at the cap (a safety valve for very long processes;
 #: fingerprint cardinality is small in practice).

@@ -60,7 +60,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.sim import warm as _warm
 from repro.sim.uop import FingerprintKey, Trace
 
 #: Bound on cached variants.  A macro replay generates a few hundred distinct
@@ -152,23 +151,16 @@ class TraceInterner:
                 self._check(trace, materialize, site)
             return trace
         self.stats.misses += 1
-        # A fork-server warm bank (repro.sim.warm) can satisfy the miss
-        # without materializing: the trace is fully determined by
-        # (site, tokens, latencies), so a banked instance is bit-equal to a
-        # fresh one.  The miss above is already counted — bank hits are
-        # telemetry-neutral.  Validate mode always materializes.
-        trace = None if self.validate else _warm.lookup_template(site, tokens, latencies)
-        if trace is None:
-            trace = materialize()
-            # Shared traces are schedule-memo keys on every subsequent hit;
-            # cache the fingerprint hash once so lookups stop re-hashing
-            # the tuple.
-            trace._fp_key = FingerprintKey(trace._fingerprint)
-            if len(trace) != len(latencies):
-                raise AssertionError(
-                    f"intern site {site!r}: latency tuple has {len(latencies)} "
-                    f"entries for a {len(trace)}-uop trace"
-                )
+        trace = materialize()
+        # Shared traces are schedule-memo keys on every subsequent hit;
+        # cache the fingerprint hash once so lookups stop re-hashing the
+        # tuple.
+        trace._fp_key = FingerprintKey(trace._fingerprint)
+        if len(trace) != len(latencies):
+            raise AssertionError(
+                f"intern site {site!r}: latency tuple has {len(latencies)} "
+                f"entries for a {len(trace)}-uop trace"
+            )
         self._variants[variant_key] = trace
         if len(self._variants) > self.max_variants:
             self._variants.popitem(last=False)
@@ -191,18 +183,6 @@ class TraceInterner:
         """Drop all templates and variants (stats describe the lifetime)."""
         self._template_ids.clear()
         self._variants.clear()
-
-    def export_templates(self) -> dict[tuple, Trace]:
-        """Live variants re-keyed by the instance-independent
-        ``(site, tokens, latencies)`` triple, for harvesting into a
-        :class:`repro.sim.warm.WarmBank` (per-instance template ids do not
-        travel between interners)."""
-        inverse = {tid: key for key, tid in self._template_ids.items()}
-        out: dict[tuple, Trace] = {}
-        for (template_id, latencies), trace in self._variants.items():
-            site, tokens = inverse[template_id]
-            out[(site, tokens, latencies)] = trace
-        return out
 
 
 def interner_from_env() -> TraceInterner | None:

@@ -97,9 +97,8 @@ class FingerprintKey:
     def __reduce__(self):
         # Re-derive the cached hash on unpickle: fingerprints contain
         # strings, whose hashes are per-process under PYTHONHASHSEED, so a
-        # key shipped to a spawn-started worker (warm banks,
-        # repro.sim.warm) must not carry the parent's hash into the child's
-        # dicts.
+        # key unpickled in another process must not carry the pickling
+        # process's hash into the new process's dicts.
         return (FingerprintKey, (self.fp,))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -774,7 +774,6 @@ def traffic_load_curve(
     checkpoint_dir=None,
     resume: bool = False,
     progress=None,
-    batch_size: int | None = None,
 ) -> dict:
     """Throughput-vs-offered-load curve, sharded through the parallel
     matrix harness.  Returns ``{"capacity_rps": ..., "points": [...]}``
@@ -788,7 +787,7 @@ def traffic_load_curve(
     )
     matrix = run_matrix(
         cells, jobs=jobs, checkpoint_dir=checkpoint_dir, resume=resume,
-        progress=progress, cell_fn=run_traffic_cell, batch_size=batch_size,
+        progress=progress, cell_fn=run_traffic_cell,
     )
     if matrix.quarantined:
         raise RuntimeError(

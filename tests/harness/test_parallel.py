@@ -3,7 +3,8 @@
 Worker-pool behaviour (real processes, broken pools, byte-identity against
 the serial path) lives in ``tests/integration/test_parallel_differential.py``;
 these tests cover the deterministic machinery: cell identity, seeding,
-checkpoints, retry/backoff, quarantine, and the progress stream.
+checkpoints, retry/backoff, quarantine, and the progress stream — plus
+the pool's scheduling shape (one task per cell, no parent-side replays).
 """
 
 import json
@@ -11,18 +12,17 @@ from dataclasses import replace
 
 import pytest
 
+from repro.harness import experiments, parallel, runner
 from repro.harness.parallel import (
-    MAX_BATCH_CELLS,
     CellResult,
     SweepCell,
-    auto_batch_size,
     build_matrix,
+    build_warm_bank,
     checkpoint_path,
     derive_seed,
     load_checkpoint,
     matrix_figure_data,
     matrix_to_json,
-    plan_batches,
     run_matrix,
     write_checkpoint,
     write_checkpoints,
@@ -105,6 +105,19 @@ class TestCheckpoints:
         checkpoint_path(tmp_path, cell).write_text("{truncated")
         assert load_checkpoint(tmp_path, cell) is None
 
+    @pytest.mark.parametrize("payload", ["[]", '"x"', "3", "null"])
+    def test_non_object_json_returns_none(self, tmp_path, payload):
+        """Valid JSON that is not an object is as unusable as corrupt JSON:
+        the cell is recomputed, and a resumed run does not crash."""
+        cell = CELLS[0]
+        checkpoint_path(tmp_path, cell).write_text(payload)
+        assert load_checkpoint(tmp_path, cell) is None
+        resumed = run_matrix(
+            [cell], jobs=1, checkpoint_dir=tmp_path, resume=True, cell_fn=fake_result
+        )
+        assert resumed.stats.cells_resumed == 0
+        assert load_checkpoint(tmp_path, cell) == resumed.results[cell.cell_id]
+
     def test_stale_cell_definition_rejected(self, tmp_path):
         """A checkpoint written for a different cell definition (e.g. an
         older matrix with other op counts) must not be resumed."""
@@ -123,45 +136,36 @@ class TestCheckpoints:
         ]
 
 
-class TestBatchPlanning:
-    def test_auto_size_one_wave_per_worker(self):
-        assert auto_batch_size(8, 4) == 2
-        assert auto_batch_size(9, 4) == 3
-        assert auto_batch_size(3, 4) == 1
+class TestScheduling:
+    def test_jobs2_dispatches_one_task_per_cell(self):
+        """Cells are never packed into multi-cell tasks: a 3 families x 3
+        sizes matrix on two workers is nine tasks, reported in matrix
+        order."""
+        cells = build_matrix(["w0", "w1", "w2"], cache_sizes=(4, 16, 32), num_ops=10)
+        result = run_matrix(cells, jobs=2, cell_fn=fake_result)
+        assert result.stats.batches == len(cells) == 9
+        assert result.stats.pools_created == 1
+        assert list(result.results) == [c.cell_id for c in cells]
 
-    def test_auto_size_capped(self):
-        assert auto_batch_size(1000, 2) == MAX_BATCH_CELLS
+    def test_warm_bank_builds_no_allocator(self, monkeypatch):
+        """The parent only pre-generates op streams: no allocator is built
+        and nothing is replayed before the pool starts."""
 
-    def test_auto_size_serial_and_empty(self):
-        assert auto_batch_size(10, 1) == 1
-        assert auto_batch_size(0, 4) == 1
+        def forbidden(*args, **kwargs):
+            raise AssertionError("build_warm_bank must not build or replay")
 
-    def test_batches_group_by_workload_family(self):
-        """Locality: a batch never mixes workload families (its cells share
-        one op stream), and matrix order is preserved within a family."""
-        cells = build_matrix(["tp", "gauss"], cache_sizes=(2, 8, 32), num_ops=10)
-        batches = plan_batches(cells, jobs=2, batch_size=2)
-        assert all(len({c.workload for c in batch}) == 1 for batch in batches)
-        flat = [c.cell_id for batch in batches for c in batch]
-        assert sorted(flat) == sorted(c.cell_id for c in cells)
-        for batch in batches:
-            entries = [c.cache_entries for c in batch]
-            assert entries == sorted(entries, key=[2, 8, 32].index)
-
-    def test_batch_size_one_is_per_cell(self):
-        cells = build_matrix(["tp", "gauss"], cache_sizes=(2, 32), num_ops=10)
-        batches = plan_batches(cells, jobs=2, batch_size=1)
-        assert [len(b) for b in batches] == [1, 1, 1, 1]
-
-    def test_auto_plan_covers_all_cells(self):
-        cells = build_matrix(["tp", "gauss", "tp_small"], cache_sizes=(2, 32), num_ops=10)
-        batches = plan_batches(cells, jobs=4)
-        assert sum(len(b) for b in batches) == len(cells)
-        assert all(1 <= len(b) <= auto_batch_size(len(cells), 4) for b in batches)
-
-    def test_invalid_batch_size_rejected(self):
-        with pytest.raises(ValueError, match="batch_size"):
-            plan_batches(CELLS, jobs=2, batch_size=0)
+        for module, name in ((experiments, "make_baseline"),
+                             (experiments, "make_mallacc"),
+                             (runner, "run_workload")):
+            monkeypatch.setattr(module, name, forbidden)
+            # ...and any copy imported into the harness namespace.
+            monkeypatch.setattr(parallel, name, forbidden, raising=False)
+        cells = build_matrix(["tp_small", "gauss_free"], cache_sizes=(4, 32), num_ops=120)
+        bank = build_warm_bank(cells)
+        assert sorted(bank.streams) == sorted(
+            {(c.workload, c.seed, c.num_ops) for c in cells}
+        )
+        assert bank.summary() == {"streams": 2, "stream_hits": 0}
 
 
 class TestGroupCommit:
@@ -174,8 +178,8 @@ class TestGroupCommit:
         assert not [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
 
     def test_batched_files_identical_to_singles(self, tmp_path):
-        """Group commit writes the same per-cell bytes as the one-at-a-time
-        path — batched and unbatched checkpoint dirs interchange freely."""
+        """Writing several cells at once produces the same per-cell bytes as
+        the one-at-a-time path."""
         single_dir, group_dir = tmp_path / "single", tmp_path / "group"
         pairs = [(c, fake_result(c)) for c in CELLS]
         for cell, result in pairs:

@@ -1,19 +1,20 @@
-"""Differential tests for the batched fork-server harness.
+"""Differential tests for the pooled fork-server harness.
 
 ``tests/integration/test_parallel_differential.py`` pins the original
 contract — sharding is invisible to the science.  This suite pins the
-amortization layer added on top: cell batching, the fork-server warm bank,
-and one-pool-per-run must *also* be invisible:
+machinery around the pool (one task per cell, the parent-built op-stream
+bank, one pool per run), which must *also* be invisible:
 
-* a ``jobs=N, batch_size=K`` run serializes to exactly the serial bytes,
-  under any ``PYTHONHASHSEED``;
-* the warm bank never perturbs a counter — per-cell summaries and metrics
-  are identical with and without a bank installed (telemetry neutrality);
-* checkpoint directories written by batched and unbatched runs resume each
+* a ``jobs=2`` run serializes to exactly the serial bytes, under any
+  ``PYTHONHASHSEED``;
+* the stream bank never perturbs a counter — per-cell summaries and
+  metrics are identical with and without a bank installed, including a
+  bank pickled across processes (the ``spawn`` start method's path);
+* checkpoint directories written by pooled and inline runs resume each
   other freely;
 * one executor serves all retry rounds (rebuilt only after a worker is
-  killed outright), and a worker kill retries only the batches that were
-  in flight — completed, checkpointed batches never re-run.
+  killed outright), and a worker kill retries only the cells that were in
+  flight — completed, checkpointed cells never re-run.
 """
 
 import json
@@ -25,6 +26,7 @@ from pathlib import Path
 
 import repro
 
+from repro.harness import parallel
 from repro.harness.parallel import (
     CellResult,
     SweepCell,
@@ -35,7 +37,6 @@ from repro.harness.parallel import (
     run_cell,
     run_matrix,
 )
-from repro.sim import warm as warm_state
 
 MATRIX_WORKLOADS = ["tp_small", "gauss_free"]
 MATRIX_SIZES = (4, 32)
@@ -65,7 +66,7 @@ def _fake_result(cell: SweepCell) -> CellResult:
 
 def _kill_worker_on_gauss(cell: SweepCell) -> CellResult:
     """Module-level (picklable) cell function that hard-kills the worker
-    for one workload family — simulating an OOM-kill/segfault mid-batch."""
+    for one workload family — simulating an OOM-kill/segfault mid-run."""
     if cell.workload == "gauss_free":
         os._exit(17)
     return _fake_result(cell)
@@ -86,30 +87,22 @@ class TestBatchedByteIdentity:
     def test_batched_runs_match_serial_bytes(self):
         cells = _smoke_cells()
         serial = run_matrix(cells, jobs=1)
-        want = matrix_to_json(serial)
-        for batch_size in (None, 1, 2, 3):
-            batched = run_matrix(cells, jobs=2, batch_size=batch_size)
-            assert matrix_to_json(batched) == want, f"batch_size={batch_size}"
-            # The pooled per-cell metrics registry must merge to the same
-            # payload too — the warm bank touches no per-cell counter.
-            assert batched.stats.metrics == serial.stats.metrics
-
-    def test_no_prewarm_matches_too(self):
-        cells = _smoke_cells()
-        assert matrix_to_json(run_matrix(cells, jobs=2, prewarm=False)) == (
-            matrix_to_json(run_matrix(cells, jobs=1))
-        )
+        pooled = run_matrix(cells, jobs=2)
+        assert matrix_to_json(pooled) == matrix_to_json(serial)
+        # The pooled per-cell metrics registry must merge to the same
+        # payload too — the stream bank touches no per-cell counter.
+        assert pooled.stats.metrics == serial.stats.metrics
+        assert pooled.stats.warm["stream_hits"] == len(cells)
 
     def test_batched_matrix_immune_to_hash_randomization(self):
-        """A full batched pool run reproduces identical bytes under any
-        PYTHONHASHSEED — the warm bank travels between processes whose
-        string hashes disagree (FingerprintKey re-derives its hash)."""
+        """A full pool run reproduces identical bytes under any
+        PYTHONHASHSEED."""
         code = (
             "from repro.harness.parallel import build_matrix, matrix_to_json,"
             " run_matrix\n"
             f"cells = build_matrix({MATRIX_WORKLOADS!r}, cache_sizes=(32,),"
             f" num_ops=200)\n"
-            "print(matrix_to_json(run_matrix(cells, jobs=2, batch_size=2)))\n"
+            "print(matrix_to_json(run_matrix(cells, jobs=2)))\n"
         )
         outs = set()
         for hashseed in ("0", "271828"):
@@ -135,31 +128,30 @@ class TestWarmBank:
         cells = _smoke_cells()
         cold = [run_cell(c) for c in cells]
         bank = build_warm_bank(cells)
-        warm_state.install_bank(bank)
+        parallel._worker_init(bank)
         try:
             warmed = [run_cell(c) for c in cells]
         finally:
-            warm_state.clear_bank()
+            parallel._worker_init(None)
         for c, w in zip(cold, warmed):
             assert c.summary == w.summary
             assert c.metrics == w.metrics
             assert (c.intern_hits, c.intern_misses) == (w.intern_hits, w.intern_misses)
-        assert bank.template_hits > 0
-        assert bank.stream_hits > 0
+        assert bank.stream_hits == len(cells)
 
     def test_bank_pickle_roundtrip_still_hits(self):
-        """The spawn-safety path: a pickled+unpickled bank (new
-        FingerprintKey hashes) serves the same lookups."""
+        """The spawn path: a pickled+unpickled bank (rebuilt dict hashes)
+        serves the same lookups."""
         cells = _smoke_cells()[:1]
         cold = run_cell(cells[0])
         clone = pickle.loads(pickle.dumps(build_warm_bank(cells)))
-        warm_state.install_bank(clone)
+        parallel._worker_init(clone)
         try:
             warmed = run_cell(cells[0])
         finally:
-            warm_state.clear_bank()
+            parallel._worker_init(None)
         assert warmed.summary == cold.summary
-        assert clone.template_hits > 0
+        assert clone.stream_hits == 1
 
     def test_bank_crosses_hashseed_boundary(self, tmp_path):
         """A bank built here and loaded in a process with a different
@@ -169,14 +161,14 @@ class TestWarmBank:
         bank_file.write_bytes(pickle.dumps(build_warm_bank([cell])))
         code = (
             "import json, pickle\n"
+            "from repro.harness import parallel\n"
             "from repro.harness.parallel import SweepCell, run_cell\n"
-            "from repro.sim import warm\n"
             f"bank = pickle.loads(open({str(bank_file)!r}, 'rb').read())\n"
-            "warm.install_bank(bank)\n"
+            "parallel._worker_init(bank)\n"
             "r = run_cell(SweepCell(workload='tp_small', cache_entries=8,"
             " num_ops=150, seed=2))\n"
             "print(json.dumps(r.summary, sort_keys=True))\n"
-            "assert bank.template_hits > 0, 'bank never hit'\n"
+            "assert bank.stream_hits > 0, 'bank never hit'\n"
         )
         outs = set()
         for hashseed in ("0", "31415"):
@@ -192,16 +184,16 @@ class TestWarmBank:
 
 class TestMixedCheckpointResume:
     def test_batched_dir_resumes_serially_and_back(self, tmp_path):
-        """Checkpoint dirs are batching-agnostic: write batched, resume
-        unbatched; write serial, resume batched — same bytes either way."""
+        """Checkpoint dirs are pool-agnostic: write pooled, resume inline;
+        write inline, resume pooled — same bytes either way."""
         cells = _smoke_cells()
         want = matrix_to_json(run_matrix(cells, jobs=1))
 
-        batched_dir = tmp_path / "batched"
-        run_matrix(cells, jobs=2, batch_size=3, checkpoint_dir=batched_dir)
+        pooled_dir = tmp_path / "batched"
+        run_matrix(cells, jobs=2, checkpoint_dir=pooled_dir)
         for cell in cells[:2]:
-            checkpoint_path(batched_dir, cell).unlink()
-        resumed = run_matrix(cells, jobs=1, checkpoint_dir=batched_dir, resume=True)
+            checkpoint_path(pooled_dir, cell).unlink()
+        resumed = run_matrix(cells, jobs=1, checkpoint_dir=pooled_dir, resume=True)
         assert resumed.stats.cells_resumed == len(cells) - 2
         assert matrix_to_json(resumed) == want
 
@@ -209,9 +201,7 @@ class TestMixedCheckpointResume:
         run_matrix(cells, jobs=1, checkpoint_dir=serial_dir)
         for cell in cells[2:]:
             checkpoint_path(serial_dir, cell).unlink()
-        resumed = run_matrix(
-            cells, jobs=2, batch_size=2, checkpoint_dir=serial_dir, resume=True
-        )
+        resumed = run_matrix(cells, jobs=2, checkpoint_dir=serial_dir, resume=True)
         assert resumed.stats.cells_resumed == 2
         assert matrix_to_json(resumed) == want
 
@@ -233,16 +223,15 @@ class TestPoolLifecycle:
     def test_clean_run_creates_one_pool(self):
         result = run_matrix(_smoke_cells(), jobs=2)
         assert result.stats.pools_created == 1
-        assert result.stats.batches > 0
-        assert result.stats.batch_size >= 1
+        assert result.stats.batches == len(_smoke_cells())
 
     def test_inline_run_creates_no_pool(self):
         result = run_matrix(_smoke_cells(), jobs=1)
         assert result.stats.pools_created == 0
-        assert result.stats.batch_size == 1
+        assert result.stats.warm == {}
 
     def test_killed_worker_rebuilds_pool_and_spares_done_batches(self):
-        """A hard worker kill breaks the pool: only in-flight batches are
+        """A hard worker kill breaks the pool: only in-flight cells are
         retried (completed cells never reappear in a retry round), the
         poison family is quarantined, innocents complete, and the rebuild
         is observable as pools_created > 1."""

@@ -207,17 +207,16 @@ class TestWarmBridge:
     def test_warm_registry_series(self):
         from repro.obs.bridges import warm_registry
 
-        warm = {"templates": 16, "streams": 2, "template_hits": 52, "stream_hits": 4}
+        warm = {"streams": 2, "stream_hits": 4}
         reg = warm_registry(warm, jobs="4")
-        assert reg.total("warm_template_hits") == 52.0
         assert reg.total("warm_stream_hits") == 4.0
-        assert reg.gauge("warm_templates", jobs="4").value == 16.0
+        assert reg.gauge("warm_streams", jobs="4").value == 2.0
 
     def test_warm_telemetry_stays_out_of_pooled_cell_metrics(self):
         """The pooled per-cell registry is byte-compared serial vs sharded;
-        a prewarmed jobs=2 run must therefore expose no warm_* series in
+        a jobs=2 run must therefore expose no warm_* series in
         stats.metrics even though stats.warm is populated."""
         cells = build_matrix(["tp_small"], cache_sizes=(4, 32), num_ops=200)
         sharded = run_matrix(cells, jobs=2)
-        assert sharded.stats.warm["templates"] > 0
+        assert sharded.stats.warm["stream_hits"] > 0
         assert "warm_" not in json.dumps(sharded.stats.metrics)

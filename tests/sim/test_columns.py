@@ -1,12 +1,11 @@
 """Columnar compilation: exact equivalence with the object scheduler.
 
-Templates are harvested from a real replay (the interner's export), so the
+Templates are taken from a real replay (the interner's variants), so the
 columns under test are the ones the engine actually walks — every uop
 kind, store-buffer flag, CSR dependence shape, and tag mix the allocators
 emit.  Each template must schedule to the identical
 :class:`~repro.sim.timing.TimingResult` through the flat arrays, with and
-without tag ablation, and the compiled columns must survive pickling
-(warm banks ship templates across processes).
+without tag ablation, and the compiled columns must survive pickling.
 """
 
 import os
@@ -36,7 +35,7 @@ def _templates():
         alloc = make_mallacc(intern_traces=True)
         wl = MACRO_WORKLOADS["400.perlbench"]
         run_workload(alloc, wl.ops(seed=7, num_ops=300), name=wl.name)
-        return alloc.machine, list(alloc.machine.interner.export_templates().values())
+        return alloc.machine, list(alloc.machine.interner._variants.values())
     finally:
         if saved is not None:
             os.environ["REPRO_ENGINE"] = saved
@@ -101,8 +100,8 @@ class TestPickle:
         assert a == b
 
     def test_template_pickles_with_columns(self):
-        """WarmBank pickles whole templates; compiled columns must ride
-        along and stay usable."""
+        """A pickled template carries its compiled columns, and they stay
+        usable."""
         trace = TEMPLATES[0]
         compile_trace(trace)
         assert getattr(trace, "_columns", None) is not None
