@@ -1,10 +1,11 @@
 """Hot-path benchmark: the columnar replay engine vs the reference engine.
 
 Measures the end-to-end effect of the columnar engine — flat-array
-template scheduling, the lazy ring hierarchy, arena-slab memory, the
-fused fast-path twins, and the fused slow-path refill twins
-(central-cache transfers, page-heap span traffic, span carving) — and
-writes the numbers to ``BENCH_hot_path.json`` at the repository root.
+template scheduling, the lazy ring hierarchy, the fused fast-path twins,
+and the fused slow-path refill twins (central-cache transfers, page-heap
+span traffic, span carving) — and writes the numbers to
+``BENCH_hot_path.json`` at the repository root.  Both sides run on the
+same sparse simulated memory and always intern emitted traces.
 
 * **end-to-end** — ``compare_workload`` wall-clock on the trimmed tab02
   workload set, *before* (``REPRO_ENGINE=reference``: the PR 7
@@ -278,10 +279,10 @@ def main() -> dict:
         "observability": observability,
         "notes": (
             "before = REPRO_ENGINE=reference on otherwise-default settings "
-            "(the PR 7 configuration: object-model engine, O(1) caches, "
-            "interning on); after = columnar defaults (flat-array template "
-            "scheduling, lazy ring hierarchy, arena slabs, fused fast-path "
-            "twins, fused slow-path refill twins).  Passes are interleaved "
+            "(object-model engine, O(1) caches, interning on); after = "
+            "columnar defaults (flat-array template scheduling, lazy ring "
+            "hierarchy, fused fast-path twins, fused slow-path refill "
+            "twins); both on the same sparse memory.  Passes are interleaved "
             "best-of-N in one process; cycle counts are bit-identical on "
             "both engines.  per_workload.refill_share is the profiler-"
             "measured fraction of columnar replay wall time spent in refill "

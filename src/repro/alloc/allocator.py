@@ -25,7 +25,6 @@ from repro.alloc.size_classes import SizeClassTable
 from repro.alloc.thread_cache import ThreadCache
 from repro.sim.engine import is_columnar
 from repro.sim.memory import NULL
-from repro.sim.trace_intern import TraceInterner
 from repro.sim.uop import Tag, Trace
 
 
@@ -111,18 +110,10 @@ class TCMalloc:
         config: AllocatorConfig | None = None,
         ablations: dict[str, frozenset[Tag]] | None = None,
         shared: "SharedPools | None" = None,
-        intern_traces: bool | None = None,
     ) -> None:
         self.machine = machine or Machine()
         self.config = config or AllocatorConfig()
         self.ablations = dict(ablations or {})
-        if intern_traces is not None:
-            # Explicit override of the machine's emission-side interning
-            # (None leaves the REPRO_TRACE_INTERN default in place).
-            if intern_traces and self.machine.interner is None:
-                self.machine.interner = TraceInterner()
-            elif not intern_traces:
-                self.machine.interner = None
         if shared is not None:
             # Multithreaded mode: this instance is one thread's view over
             # pools owned by a MultiThreadAllocator.

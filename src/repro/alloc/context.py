@@ -5,6 +5,11 @@ cache hierarchy, TLB, branch predictor, core timing model, and a global cycle
 clock.  :class:`Emitter` is created fresh for each allocator call; it couples
 a :class:`~repro.sim.uop.TraceBuilder` to the machine so that every
 functional memory access also emits a priced micro-op.
+
+Both replay engines (:mod:`repro.sim.engine`) build the same sparse
+:class:`~repro.sim.memory.SimulatedMemory` and an always-on
+:class:`~repro.sim.trace_intern.TraceInterner`; only the cache hierarchy is
+engine-selected here.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.sim.arena import ArenaMemory
 from repro.sim.branch import BranchPredictor
 from repro.sim.engine import is_columnar
 from repro.sim.hierarchy import CacheHierarchy
@@ -20,17 +24,11 @@ from repro.sim.lazyhier import LazyRingHierarchy
 from repro.sim.memory import SimulatedMemory, VirtualAddressSpace
 from repro.sim.timing import CoreConfig, TimingModel, TimingResult
 from repro.sim.tlb import TLB
-from repro.sim.trace_intern import TraceInterner, interner_from_env
+from repro.sim.trace_intern import TraceInterner
 from repro.sim.uop import NULL_TRACE_BUILDER, Tag, Trace, TraceBuilder
 
 if TYPE_CHECKING:
     from repro.harness.profile import HotPathProfiler
-
-
-def default_memory() -> SimulatedMemory:
-    """Engine-selected simulated memory: arena slabs under columnar, the
-    sparse word dict under reference.  Both are observationally identical."""
-    return ArenaMemory() if is_columnar() else SimulatedMemory()
 
 
 def default_hierarchy() -> CacheHierarchy:
@@ -45,14 +43,14 @@ def default_hierarchy() -> CacheHierarchy:
 class Machine:
     """All persistent simulated-hardware state for one core."""
 
-    memory: SimulatedMemory = field(default_factory=default_memory)
+    memory: SimulatedMemory = field(default_factory=SimulatedMemory)
     address_space: VirtualAddressSpace = field(default_factory=VirtualAddressSpace)
     hierarchy: CacheHierarchy = field(default_factory=default_hierarchy)
     tlb: TLB = field(default_factory=TLB)
     predictor: BranchPredictor = field(default_factory=BranchPredictor)
     timing: TimingModel = field(default_factory=lambda: TimingModel(CoreConfig()))
-    interner: TraceInterner | None = field(default_factory=interner_from_env)
-    """Emission-side intern table; ``None`` disables template interning."""
+    interner: TraceInterner = field(default_factory=TraceInterner)
+    """Emission-side intern table (:mod:`repro.sim.trace_intern`)."""
     profiler: "HotPathProfiler | None" = None
     """Opt-in hot-path profiler; ``None`` (the default) costs nothing.  The
     allocator duck-types it, so any object with ``add_stage``/``count``
@@ -176,11 +174,10 @@ class Emitter:
 
     # -- finishing ---------------------------------------------------------
     def build(self, intern_site: str | None = None) -> Trace:
-        """Materialize the trace; with ``intern_site`` (and the machine's
-        interner enabled) identical calls return one shared instance."""
-        interner = self.machine.interner
-        if intern_site is not None and interner is not None:
-            return self.tb.build_interned(interner, intern_site)
+        """Materialize the trace; with ``intern_site``, identical calls
+        return one shared instance from the machine's interner."""
+        if intern_site is not None:
+            return self.tb.build_interned(self.machine.interner, intern_site)
         return self.tb.build()
 
     def schedule(self) -> TimingResult:

@@ -311,7 +311,7 @@ class TCMallocFastPath:
     # -- shared guards ------------------------------------------------------
     def _machine(self):
         m = self.alloc.machine
-        if m.warming is not None or m.interner is None:
+        if m.warming is not None:
             return None
         return m
 

@@ -31,7 +31,7 @@ Mallacc allocator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.alloc.allocator import CallRecord, SharedPools, TCMalloc
 from repro.alloc.constants import AllocatorConfig
@@ -73,7 +73,6 @@ class MultiThreadAllocator:
         context_switch_flushes: bool = True,
         switch_quantum_cycles: int = 1_000_000,
         coherent: bool = False,
-        intern_traces: bool | None = None,
     ) -> None:
         if num_threads < 1:
             raise ValueError("need at least one thread")
@@ -105,12 +104,7 @@ class MultiThreadAllocator:
 
         self.threads: list[TCMalloc] = []
         for core in self.core_machines:
-            # Each view applies the intern override to its core
-            # (idempotently where flat-mode views alias one machine).
-            kwargs = dict(
-                machine=core, config=self.config, shared=self.shared,
-                intern_traces=intern_traces,
-            )
+            kwargs = dict(machine=core, config=self.config, shared=self.shared)
             if accelerated:
                 view = MallaccTCMalloc(cache_config=cache_config, **kwargs)
             else:

@@ -478,7 +478,7 @@ class TCMallocSlowPath:
 
     def _machine(self):
         m = self.alloc.machine
-        if m.warming is not None or m.interner is None:
+        if m.warming is not None:
             return None
         return m
 

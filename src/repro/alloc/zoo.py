@@ -37,17 +37,6 @@ from repro.alloc.context import Machine
 from repro.alloc.hoard import HoardAllocator
 from repro.alloc.jemalloc import Jemalloc, make_mallacc_jemalloc
 from repro.sim.memory import NULL
-from repro.sim.trace_intern import TraceInterner
-
-
-def _apply_intern_override(machine, intern_traces) -> None:
-    """Mirror TCMalloc.__init__'s explicit interning override for the adapted
-    allocators (None leaves the machine default in place)."""
-    if intern_traces is not None:
-        if intern_traces and machine.interner is None:
-            machine.interner = TraceInterner()
-        elif not intern_traces:
-            machine.interner = None
 
 
 class TimedHoard:
@@ -67,7 +56,6 @@ class TimedHoard:
         machine: Machine | None = None,
         config: AllocatorConfig | None = None,
         ablations=None,
-        intern_traces: bool | None = None,
         num_heaps: int = 1,
         inner_factory: Callable[..., HoardAllocator] = HoardAllocator,
     ) -> None:
@@ -76,7 +64,6 @@ class TimedHoard:
         )
         self.machine = self.inner.machine
         self.config = self.inner.config
-        _apply_intern_override(self.machine, intern_traces)
         self.records: list[CallRecord] = []
         self.keep_records: bool = True
 
@@ -199,14 +186,12 @@ class TimedBuddy:
         machine: Machine | None = None,
         config: AllocatorConfig | None = None,
         ablations=None,
-        intern_traces: bool | None = None,
     ) -> None:
         self.inner = BuddyAllocator(
             machine=machine or Machine(), config=config or AllocatorConfig()
         )
         self.machine = self.inner.machine
         self.config = self.inner.config
-        _apply_intern_override(self.machine, intern_traces)
         self.records: list[CallRecord] = []
         self.keep_records: bool = True
 
@@ -404,28 +389,23 @@ class AllocatorSpec:
     """True when a Mallacc flavour exists, enabling baseline-vs-accelerated
     comparisons (``repro run`` / ``matrix`` / ``tune``)."""
     baseline: Callable[..., object]
-    """(machine, config, ablations, intern_traces) -> standard-API
-    allocator."""
+    """(machine, config, ablations) -> standard-API allocator."""
     mallacc: Callable[..., object] | None
-    """(machine, config, cache_config, ablations, intern_traces) ->
-    accelerated standard-API allocator, or None."""
+    """(machine, config, cache_config, ablations) -> accelerated
+    standard-API allocator, or None."""
     multithreaded: Callable[..., object]
     """(num_threads, machine, config) -> MT-API allocator."""
 
 
-def _tcmalloc_baseline(machine=None, config=None, ablations=None, intern_traces=None):
-    return TCMalloc(
-        machine=machine, config=config, ablations=ablations, intern_traces=intern_traces
-    )
+def _tcmalloc_baseline(machine=None, config=None, ablations=None):
+    return TCMalloc(machine=machine, config=config, ablations=ablations)
 
 
-def _tcmalloc_mallacc(machine=None, config=None, cache_config=None,
-                      ablations=None, intern_traces=None):
+def _tcmalloc_mallacc(machine=None, config=None, cache_config=None, ablations=None):
     from repro.core.accel_allocator import MallaccTCMalloc
 
     return MallaccTCMalloc(
-        machine=machine, config=config, cache_config=cache_config,
-        ablations=ablations, intern_traces=intern_traces,
+        machine=machine, config=config, cache_config=cache_config, ablations=ablations
     )
 
 
@@ -435,17 +415,13 @@ def _tcmalloc_mt(num_threads, machine=None, config=None):
     return MultiThreadAllocator(num_threads, machine=machine, config=config)
 
 
-def _jemalloc_baseline(machine=None, config=None, ablations=None, intern_traces=None):
-    return Jemalloc(
-        machine=machine, config=config, ablations=ablations, intern_traces=intern_traces
-    )
+def _jemalloc_baseline(machine=None, config=None, ablations=None):
+    return Jemalloc(machine=machine, config=config, ablations=ablations)
 
 
-def _jemalloc_mallacc(machine=None, config=None, cache_config=None,
-                      ablations=None, intern_traces=None):
+def _jemalloc_mallacc(machine=None, config=None, cache_config=None, ablations=None):
     return make_mallacc_jemalloc(
-        machine=machine, config=config, cache_config=cache_config,
-        ablations=ablations, intern_traces=intern_traces,
+        machine=machine, config=config, cache_config=cache_config, ablations=ablations
     )
 
 
@@ -455,20 +431,16 @@ def _jemalloc_mt(num_threads, machine=None, config=None):
     )
 
 
-def _hoard_baseline(machine=None, config=None, ablations=None, intern_traces=None):
-    return TimedHoard(
-        machine=machine, config=config, ablations=ablations, intern_traces=intern_traces
-    )
+def _hoard_baseline(machine=None, config=None, ablations=None):
+    return TimedHoard(machine=machine, config=config, ablations=ablations)
 
 
 def _hoard_mt(num_threads, machine=None, config=None):
     return HoardMultiThread(num_threads, machine=machine, config=config)
 
 
-def _buddy_baseline(machine=None, config=None, ablations=None, intern_traces=None):
-    return TimedBuddy(
-        machine=machine, config=config, ablations=ablations, intern_traces=intern_traces
-    )
+def _buddy_baseline(machine=None, config=None, ablations=None):
+    return TimedBuddy(machine=machine, config=config, ablations=ablations)
 
 
 def _buddy_mt(num_threads, machine=None, config=None):

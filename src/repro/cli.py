@@ -105,13 +105,11 @@ def cmd_run(args: argparse.Namespace) -> None:
     workload = _workload_or_die(args.workload)
     if args.sample:
         return _cmd_run_sampled(args, workload)
-    intern = False if args.no_intern else None
     c = compare_workload(
         workload,
         num_ops=args.ops,
         seed=args.seed,
         cache_entries=args.entries,
-        intern_traces=intern,
         allocator=args.allocator,
     )
     print(f"workload          : {c.workload}  ({args.ops} ops, seed {args.seed}, "
@@ -120,11 +118,8 @@ def cmd_run(args: argparse.Namespace) -> None:
     print(f"trace cache       : {100 * cache['hit_rate']:.1f}% hit rate "
           f"({cache['hits']:.0f}/{cache['lookups']:.0f} schedules memoized)")
     interned = intern_summary(c.baseline, c.mallacc)
-    if interned["lookups"]:
-        print(f"trace intern      : {100 * interned['hit_rate']:.1f}% hit rate "
-              f"({interned['hits']:.0f}/{interned['lookups']:.0f} emissions shared)")
-    else:
-        print("trace intern      : disabled")
+    print(f"trace intern      : {100 * interned['hit_rate']:.1f}% hit rate "
+          f"({interned['hits']:.0f}/{interned['lookups']:.0f} emissions shared)")
     print(f"allocator fraction: {100 * c.allocator_fraction:.2f}%")
     print(f"size classes @90% : {classes_for_coverage(c.baseline.records)}")
     print(f"median malloc     : {median_cycles(c.baseline.records):.0f} -> "
@@ -215,10 +210,9 @@ def cmd_trace(args: argparse.Namespace) -> None:
 
 def cmd_sweep(args: argparse.Namespace) -> None:
     workload = _workload_or_die(args.workload)
-    sizes = tuple(int(s) for s in args.sizes.split(","))
     result = sweep_cache_sizes(
         workload,
-        sizes=sizes,
+        sizes=args.sizes,
         num_ops=args.ops,
         seed=args.seed,
         jobs=args.jobs,
@@ -227,7 +221,7 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     )
     print(
         render_series(
-            list(sizes),
+            list(args.sizes),
             {"malloc speedup %": result.malloc_speedups,
              "allocator speedup %": result.allocator_speedups},
             title=f"{workload.name}: speedup vs malloc-cache entries "
@@ -306,10 +300,9 @@ def cmd_matrix(args: argparse.Namespace) -> None:
     )
     for name in names:
         _workload_or_die(name)
-    sizes = tuple(int(s) for s in args.sizes.split(","))
     cells = build_matrix(
         names,
-        cache_sizes=sizes,
+        cache_sizes=args.sizes,
         num_ops=args.ops,
         base_seed=args.seed,
         sampled=args.sample,
@@ -626,6 +619,22 @@ def cmd_report(args: argparse.Namespace) -> None:
     print(f"report written to {args.out} ({mode})")
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts (``--ops``, ``--entries``): an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def positive_int_list(text: str) -> tuple[int, ...]:
+    """argparse type for ``--sizes``: comma-separated positive integers."""
+    return tuple(positive_int(part) for part in text.split(","))
+
+
 def _add_sampling_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--sample", action="store_true",
@@ -694,15 +703,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="compare baseline vs Mallacc on a workload")
     run.add_argument("workload")
-    run.add_argument("--ops", type=int, default=3000)
+    run.add_argument("--ops", type=positive_int, default=3000)
     run.add_argument("--seed", type=int, default=1)
-    run.add_argument("--entries", type=int, default=32, help="malloc cache entries")
-    run.add_argument(
-        "--no-intern",
-        action="store_true",
-        help="disable emission-template interning (debugging; results are "
-             "bit-identical either way, just slower)",
-    )
+    run.add_argument("--entries", type=positive_int, default=32, help="malloc cache entries")
     run.add_argument(
         "--json", default=None, metavar="FILE",
         help="also write the scalar summary + provenance manifest as JSON "
@@ -718,9 +721,9 @@ def build_parser() -> argparse.ArgumentParser:
              "Perfetto-loadable Chrome trace",
     )
     trace.add_argument("workload")
-    trace.add_argument("--ops", type=int, default=1000)
+    trace.add_argument("--ops", type=positive_int, default=1000)
     trace.add_argument("--seed", type=int, default=1)
-    trace.add_argument("--entries", type=int, default=32, help="malloc cache entries")
+    trace.add_argument("--entries", type=positive_int, default=32, help="malloc cache entries")
     trace.add_argument(
         "--export-perfetto", required=True, metavar="OUT.json",
         help="write the Chrome trace-event JSON here (open in "
@@ -731,8 +734,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="malloc-cache size sweep (Figure 17)")
     sweep.add_argument("workload")
-    sweep.add_argument("--sizes", default="2,4,8,16,32")
-    sweep.add_argument("--ops", type=int, default=1500)
+    sweep.add_argument("--sizes", type=positive_int_list, default="2,4,8,16,32")
+    sweep.add_argument("--ops", type=positive_int, default=1500)
     sweep.add_argument("--seed", type=int, default=1)
     _add_parallel_args(sweep)
     sweep.set_defaults(fn=cmd_sweep)
@@ -745,8 +748,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workloads", default="all",
         help="comma-separated workload names, or 'all'",
     )
-    matrix.add_argument("--sizes", default="32")
-    matrix.add_argument("--ops", type=int, default=1500)
+    matrix.add_argument("--sizes", type=positive_int_list, default="32")
+    matrix.add_argument("--ops", type=positive_int, default=1500)
     matrix.add_argument("--seed", type=int, default=1)
     matrix.add_argument("--out", default=None, help="write figure/table JSON here")
     matrix.add_argument("--quiet", action="store_true",
@@ -758,28 +761,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     breakdown = sub.add_parser("breakdown", help="fast-path components (Figure 4)")
     breakdown.add_argument("workload")
-    breakdown.add_argument("--ops", type=int, default=1500)
+    breakdown.add_argument("--ops", type=positive_int, default=1500)
     breakdown.add_argument("--seed", type=int, default=1)
     breakdown.set_defaults(fn=cmd_breakdown)
 
     area = sub.add_parser("area", help="silicon area model (Section 6.4)")
-    area.add_argument("--entries", type=int, default=16)
+    area.add_argument("--entries", type=positive_int, default=16)
     area.set_defaults(fn=cmd_area)
 
     val = sub.add_parser("validate", help="simulator validation (Table 1)")
-    val.add_argument("--ops", type=int, default=1500)
+    val.add_argument("--ops", type=positive_int, default=1500)
     val.set_defaults(fn=cmd_validate)
 
     rec = sub.add_parser("trace-record", help="record a workload to a trace file")
     rec.add_argument("workload")
     rec.add_argument("--out", required=True)
-    rec.add_argument("--ops", type=int, default=2000)
+    rec.add_argument("--ops", type=positive_int, default=2000)
     rec.add_argument("--seed", type=int, default=1)
     rec.set_defaults(fn=cmd_trace_record)
 
     trun = sub.add_parser("trace-run", help="replay a trace file under baseline + Mallacc")
     trun.add_argument("trace")
-    trun.add_argument("--entries", type=int, default=32)
+    trun.add_argument("--entries", type=positive_int, default=32)
     trun.set_defaults(fn=cmd_trace_run)
 
     prof = sub.add_parser(
@@ -788,9 +791,9 @@ def build_parser() -> argparse.ArgumentParser:
              "wall-time breakdown, not simulated cycles)",
     )
     prof.add_argument("workload")
-    prof.add_argument("--ops", type=int, default=2000)
+    prof.add_argument("--ops", type=positive_int, default=2000)
     prof.add_argument("--seed", type=int, default=1)
-    prof.add_argument("--entries", type=int, default=32, help="malloc cache entries")
+    prof.add_argument("--entries", type=positive_int, default=32, help="malloc cache entries")
     prof.add_argument(
         "--mallacc", action="store_true",
         help="profile the Mallacc allocator instead of baseline TCMalloc",
@@ -825,7 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--ops-per-request", type=int, default=24,
         help="allocator ops per request session (default 24)",
     )
-    traffic.add_argument("--entries", type=int, default=32, help="malloc cache entries")
+    traffic.add_argument("--entries", type=positive_int, default=32, help="malloc cache entries")
     traffic.add_argument("--seed", type=int, default=1)
     traffic.add_argument(
         "--clock-hz", type=float, default=1_000_000.0,
@@ -864,10 +867,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated zoo allocators to search (each needs a "
              "Mallacc flavour; default 'tcmalloc,jemalloc')",
     )
-    tune.add_argument("--ops", type=int, default=800,
+    tune.add_argument("--ops", type=positive_int, default=800,
                       help="ops per fitness evaluation (default 800)")
     tune.add_argument("--seed", type=int, default=1)
-    tune.add_argument("--entries", type=int, default=32,
+    tune.add_argument("--entries", type=positive_int, default=32,
                       help="malloc cache entries for the speedup column")
     tune.add_argument(
         "--random-points", type=int, default=6,
@@ -907,7 +910,7 @@ def build_parser() -> argparse.ArgumentParser:
              "run payloads with --compare",
     )
     rep.add_argument("--out", default="results.md")
-    rep.add_argument("--ops", type=int, default=2000)
+    rep.add_argument("--ops", type=positive_int, default=2000)
     rep.add_argument("--seed", type=int, default=1)
     rep.add_argument(
         "--compare", nargs=2, metavar=("A.json", "B.json"), default=None,

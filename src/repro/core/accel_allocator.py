@@ -287,15 +287,10 @@ class MallaccTCMalloc(MallaccFastPathMixin, TCMalloc):
         config: AllocatorConfig | None = None,
         cache_config: MallocCacheConfig | None = None,
         ablations=None,
-        intern_traces: bool | None = None,
         shared=None,
     ) -> None:
         super().__init__(
-            machine=machine,
-            config=config,
-            ablations=ablations,
-            shared=shared,
-            intern_traces=intern_traces,
+            machine=machine, config=config, ablations=ablations, shared=shared
         )
         self._attach_mallacc(cache_config)
 

@@ -91,7 +91,6 @@ class WorkloadComparison:
 
 def make_baseline(
     config: AllocatorConfig | None = None,
-    intern_traces: bool | None = None,
     allocator: str = "tcmalloc",
 ) -> TCMalloc:
     """A stock allocator wired for the limit-study ablation.
@@ -103,7 +102,6 @@ def make_baseline(
     return get_allocator(allocator).baseline(
         config=config,
         ablations={LIMIT_ABLATION: LIMIT_STUDY_TAGS},
-        intern_traces=intern_traces,
     )
 
 
@@ -111,7 +109,6 @@ def make_mallacc(
     cache_entries: int = 32,
     config: AllocatorConfig | None = None,
     cache_config: MallocCacheConfig | None = None,
-    intern_traces: bool | None = None,
     allocator: str = "tcmalloc",
 ) -> MallaccTCMalloc:
     from repro.alloc.zoo import get_allocator
@@ -123,11 +120,7 @@ def make_mallacc(
             "baseline-vs-accelerated comparisons need a comparable allocator"
         )
     cache_config = cache_config or MallocCacheConfig(num_entries=cache_entries)
-    return spec.mallacc(
-        config=config,
-        cache_config=cache_config,
-        intern_traces=intern_traces,
-    )
+    return spec.mallacc(config=config, cache_config=cache_config)
 
 
 def compare_workload(
@@ -138,16 +131,10 @@ def compare_workload(
     config: AllocatorConfig | None = None,
     cache_config: MallocCacheConfig | None = None,
     model_app_traffic: bool = True,
-    intern_traces: bool | None = None,
     ops: Sequence[Op] | None = None,
     allocator: str = "tcmalloc",
 ) -> WorkloadComparison:
     """Run one workload under baseline and Mallacc and compare.
-
-    ``intern_traces`` toggles emission-template interning on both runs
-    (``None`` keeps the ``REPRO_TRACE_INTERN`` default, which is on).
-    Results are bit-identical either way — the differential sweep in
-    ``tests/integration/test_hot_path_differential.py`` enforces it.
 
     ``ops`` injects a pre-generated stream instead of generating one from
     ``(seed, num_ops)`` — it must equal ``list(workload.ops(seed=seed,
@@ -158,11 +145,7 @@ def compare_workload(
     """
     ops = list(workload.ops(seed=seed, num_ops=num_ops)) if ops is None else list(ops)
 
-    baseline_alloc = make_baseline(
-        config=config,
-        intern_traces=intern_traces,
-        allocator=allocator,
-    )
+    baseline_alloc = make_baseline(config=config, allocator=allocator)
     baseline = run_workload(
         baseline_alloc, ops, name=workload.name, model_app_traffic=model_app_traffic
     )
@@ -171,7 +154,6 @@ def compare_workload(
         cache_entries=cache_entries,
         config=config,
         cache_config=cache_config,
-        intern_traces=intern_traces,
         allocator=allocator,
     )
     mallacc = run_workload(

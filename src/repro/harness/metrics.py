@@ -149,10 +149,9 @@ def intern_summary(*results) -> dict[str, float]:
     (:class:`~repro.harness.runner.RunResult`,
     :class:`~repro.harness.runner.MultiThreadRunResult`,
     :class:`~repro.harness.parallel.CellResult`); returns hits, misses,
-    lookups, and the pooled hit rate.  All zeros means interning was
-    disabled (or nothing was allocated).  Like the trace cache, these are
-    measurement machinery, never science: interning on/off is byte-invisible
-    in every figure payload.
+    lookups, and the pooled hit rate.  All zeros means nothing was
+    allocated.  Like the trace cache, these are measurement machinery,
+    never science: interning is byte-invisible in every figure payload.
     """
     hits = sum(r.intern_hits for r in results)
     misses = sum(r.intern_misses for r in results)

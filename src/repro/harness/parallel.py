@@ -193,8 +193,8 @@ class CellResult:
 
     ``wall_seconds`` and the intern counters are measurement machinery, not
     science — they are excluded from :meth:`figure_data` so serial and
-    sharded payloads compare equal (and so interning on/off stays
-    byte-invisible in matrix output).
+    sharded payloads compare equal (and so interning stays byte-invisible
+    in matrix output).
     """
 
     cell_id: str

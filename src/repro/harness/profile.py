@@ -200,7 +200,7 @@ def machine_counter_snapshot(machines) -> dict[str, int]:
             totals["hierarchy_probes"] += l1.hits + l1.misses
             totals["dram_accesses"] += machine.hierarchy.dram_accesses
         interner = machine.interner
-        if interner is not None and id(interner) not in seen_interners:
+        if id(interner) not in seen_interners:
             seen_interners.add(id(interner))
             totals["intern_hits"] += interner.stats.hits
             totals["intern_misses"] += interner.stats.misses

@@ -122,10 +122,10 @@ class RunResult:
     """Schedule-memo hits during this replay (``TimingModel.hits`` delta)."""
     trace_cache_misses: int = 0
     intern_hits: int = 0
-    """Emission-template intern hits during this replay (0 if disabled).
+    """Emission-template intern hits during this replay.
     Simulator-performance telemetry, like the trace-cache counters above —
-    never part of the science payload (interning on/off is byte-invisible
-    to summaries)."""
+    never part of the science payload (interning is byte-invisible to
+    summaries)."""
     intern_misses: int = 0
     manifest: RunManifest | None = field(default=None, repr=False, compare=False)
     """Provenance record (:mod:`repro.obs.manifest`) — observability, not
@@ -216,7 +216,7 @@ def _intern_snapshots(machines) -> list[tuple[int, int]]:
     seen: set[int] = set()
     for machine in _distinct_machines(machines):
         interner = machine.interner
-        if interner is None or id(interner) in seen:
+        if id(interner) in seen:
             snaps.append(None)
             continue
         seen.add(id(interner))
@@ -227,7 +227,7 @@ def _intern_snapshots(machines) -> list[tuple[int, int]]:
 def _intern_delta(machines, before) -> tuple[int, int]:
     hits = misses = 0
     for machine, snap in zip(_distinct_machines(machines), before):
-        if snap is None or machine.interner is None:
+        if snap is None:
             continue
         h1, m1 = machine.interner.stats.snapshot()
         hits += h1 - snap[0]

@@ -2,7 +2,7 @@
 
 A :class:`RunManifest` pins down everything needed to reproduce or audit a
 run after the fact — the config fingerprint, the seeds, the env knobs that
-silently change behaviour (``REPRO_TRACE_INTERN``, ``REPRO_CACHE_IMPL``,
+silently change behaviour (``REPRO_ENGINE``, ``REPRO_CACHE_IMPL``,
 ...), the git SHA of the working tree, the package version, and wall-clock
 timing.  One is attached to every :class:`~repro.harness.runner.RunResult`,
 :class:`~repro.harness.runner.SampledRunResult`, and matrix checkpoint, and
@@ -43,7 +43,6 @@ def _package_version() -> str:
 #: reference cache implementation" style divergences.
 ENV_KNOBS = (
     "REPRO_ENGINE",
-    "REPRO_TRACE_INTERN",
     "REPRO_INTERN_VALIDATE",
     "REPRO_CACHE_IMPL",
     "REPRO_OBS_TRACE",

@@ -2,13 +2,16 @@
 
 A :class:`~repro.sim.uop.Trace` is a list of ``Uop`` dataclasses; scheduling
 one means chasing Python attributes and enum identities per uop.  The
-columnar engine compiles each trace *once* into :class:`TraceColumns` — a
+fused twins (:mod:`repro.alloc.fastpath`, :mod:`repro.alloc.slowpath`)
+instead materialize their traces straight into :class:`TraceColumns` — a
 set of parallel stdlib ``array`` columns (kind code, latency, CSR-encoded
 dependence indices, tag code, cache-line index) cached on the trace object —
 so :class:`~repro.sim.timing.TimingModel` can schedule by walking primitive
-arrays.  Interned templates are shared ``Trace`` instances, so one
-compilation serves every replay hit of that variant, and the columns pickle
-with the trace.
+arrays.  The static half of the columns is compiled once per trace
+*structure* (:func:`compile_struct_columns`); interned templates are shared
+``Trace`` instances, so one materialization serves every replay hit of that
+variant, and the columns pickle with the trace.  Traces without columns
+(emitter-built) take the object scheduler.
 
 The dependence columns use CSR encoding: ``dep_indices[dep_indptr[i] :
 dep_indptr[i + 1]]`` are the source uop indices of uop ``i``.  Ablation
@@ -109,59 +112,6 @@ class TraceColumns:
                 self.tag_mask,
             ),
         )
-
-
-def compile_trace(trace: Trace) -> TraceColumns:
-    """Compile ``trace`` into columns and cache them on the instance."""
-    kind_code = KIND_CODE
-    tag_code = TAG_CODE
-    n = len(trace.uops)
-    kinds = array("b", bytes(n))
-    flags = array("b", bytes(n))
-    lats = array("q", bytes(8 * n))
-    tags = array("b", bytes(n))
-    lines = array("q", bytes(8 * n))
-    dep_indptr = array("i", bytes(4 * (n + 1)))
-    dep_indices = array("i")
-    tag_mask = 0
-    total = 0
-    for i, uop in enumerate(trace.uops):
-        code = kind_code[uop.kind]
-        kinds[i] = code
-        flag = 0
-        if code == _CODE_LOAD:
-            flag = FLAG_LOAD_PORT
-        elif code == _CODE_PREFETCH:
-            flag = FLAG_LOAD_PORT | FLAG_BUFFERED
-        elif code == _CODE_STORE:
-            flag = FLAG_STORE_PORT | FLAG_BUFFERED
-        flags[i] = flag
-        lats[i] = uop.latency
-        tcode = tag_code[uop.tag]
-        tags[i] = tcode
-        tag_mask |= 1 << tcode
-        lines[i] = -1 if uop.addr is None else uop.addr >> 6
-        deps = uop.deps
-        if deps:
-            dep_indices.extend(deps)
-            total += len(deps)
-        dep_indptr[i + 1] = total
-    cols = TraceColumns(n, kinds, flags, lats, dep_indptr, dep_indices, tags, lines, tag_mask)
-    trace._columns = cols
-    return cols
-
-
-def columns_of(trace: Trace) -> TraceColumns:
-    """The cached columns for ``trace``, compiling on first sight.
-
-    Returns the columns without counting a compilation when already cached;
-    callers that track compile counters should test ``trace._columns``
-    themselves first.
-    """
-    cols = getattr(trace, "_columns", None)
-    if cols is None:
-        cols = compile_trace(trace)
-    return cols
 
 
 def schedule_columns(cols: TraceColumns, config):

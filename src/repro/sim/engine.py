@@ -5,11 +5,15 @@ The simulator has two executable implementations of its hot loops:
 * ``columnar`` — interned trace templates are compiled once into flat
   parallel ``array`` columns (:mod:`repro.sim.columns`), scheduling walks
   primitive arrays instead of per-uop objects, application ring traffic is
-  applied lazily per cache set (:mod:`repro.sim.lazyhier`), simulated memory
-  is bump-pointer arena slabs (:mod:`repro.sim.arena`), and the allocator
-  fast paths run as fused priced twins (:mod:`repro.alloc.fastpath`).
-* ``reference`` — the original per-uop/per-line/per-word object model, kept
+  applied lazily per cache set (:mod:`repro.sim.lazyhier`), and the
+  allocator fast and refill paths run as fused priced twins
+  (:mod:`repro.alloc.fastpath`, :mod:`repro.alloc.slowpath`).
+* ``reference`` — the original per-uop/per-line object model, kept
   byte-for-byte as the executable specification.
+
+Both engines share one functional memory model
+(:class:`~repro.sim.memory.SimulatedMemory`) and always intern emitted
+traces (:mod:`repro.sim.trace_intern`).
 
 Both engines are *observationally identical*: every cycle count, counter,
 stat dict and pooled metric must match bit-for-bit, which the differential

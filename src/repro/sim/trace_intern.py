@@ -47,10 +47,13 @@ Two sharp edges, both deliberate:
   plain :meth:`~repro.sim.uop.TraceBuilder.build` (see
   ``repro.alloc.allocator._INTERN_SITES``).
 
-``REPRO_TRACE_INTERN=0`` disables interning process-wide (for differential
-runs); ``REPRO_INTERN_VALIDATE=1`` rebuilds every hit from scratch and
-asserts fingerprint equality — the tripwire for an emission site that
-forgot to ``note()`` a structural decision.
+Interning is always on: every :class:`~repro.alloc.context.Machine` owns
+one interner, and the fused twins (:mod:`repro.alloc.fastpath`,
+:mod:`repro.alloc.slowpath`) intern through it directly.
+``REPRO_INTERN_VALIDATE=1`` rebuilds every hit from scratch and asserts
+fingerprint equality — the tripwire for an emission site that forgot to
+``note()`` a structural decision.  It is the only guard against such a
+collision, so run it whenever an emission site changes.
 """
 
 from __future__ import annotations
@@ -183,12 +186,3 @@ class TraceInterner:
         """Drop all templates and variants (stats describe the lifetime)."""
         self._template_ids.clear()
         self._variants.clear()
-
-
-def interner_from_env() -> TraceInterner | None:
-    """Default per-machine interner: on unless ``REPRO_TRACE_INTERN`` is
-    ``0``/``off``/``false``."""
-    flag = os.environ.get("REPRO_TRACE_INTERN", "").strip().lower()
-    if flag in ("0", "off", "false", "no"):
-        return None
-    return TraceInterner()

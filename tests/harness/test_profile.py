@@ -220,9 +220,8 @@ class TestInternSummary:
         assert s["lookups"] == s["hits"] + s["misses"]
         assert 0.0 < s["hit_rate"] <= 1.0
 
-    def test_disabled_is_all_zero(self):
-        ops = list(MICROBENCHMARKS["tp_small"].ops(seed=3, num_ops=50))
-        r = run_workload(make_baseline(intern_traces=False), ops)
+    def test_empty_run_is_all_zero(self):
+        r = run_workload(make_baseline(), [])
         s = intern_summary(r)
         assert s == {"hits": 0.0, "misses": 0.0, "lookups": 0.0, "hit_rate": 0.0}
 

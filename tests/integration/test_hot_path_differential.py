@@ -1,23 +1,28 @@
 """Differential grid: the hot-path machinery is byte-invisible.
 
-The hot-path work — interned trace templates, the O(1) per-set cache model
-with its inlined three-level walk, the batched app-traffic stream, the
-cached-fingerprint trace-cache keys, and the columnar replay engine
-(flat-array scheduling, lazy ring hierarchy, arena-slab memory, fused
-fast-path twins) — all promise *exact* behavioral equivalence: any
-(engine) x (intern on/off) x (O(1) vs reference caches) combination must
-reproduce identical per-call cycles, ablations, paths, and aggregate
-accounting on identical op streams.  This suite holds every workload
-family to that promise, across serial, multithreaded, sampled, traffic,
-and sweep entry points, and (in subprocesses) across hash-randomization
-seeds.
+The hot-path work — the O(1) per-set cache model with its inlined
+three-level walk, the batched app-traffic stream, the cached-fingerprint
+trace-cache keys, and the columnar replay engine (flat-array scheduling,
+lazy ring hierarchy, fused fast-path and refill twins) — all promise
+*exact* behavioral equivalence: any (engine) x (O(1) vs reference caches)
+combination must reproduce identical per-call cycles, ablations, paths,
+and aggregate accounting on identical op streams.  This suite holds every
+workload family to that promise, across serial, multithreaded, sampled,
+traffic, and sweep entry points, and (in subprocesses) across
+hash-randomization seeds.
 
-Both the engine and the cache implementation are chosen from the
-environment (``REPRO_ENGINE``, ``REPRO_CACHE_IMPL``) at machine
-construction, so each configuration builds its allocators inside the env
-context.  App-traffic modeling stays ON for the single-threaded grids —
-that is what routes the batched ``touch_lines`` walk (fast) against the
-per-line reference loop, and the lazy ring hierarchy against both.
+Interning is always on, so the reference-engine legs run with
+``REPRO_INTERN_VALIDATE=1``: every intern hit on the spec engine is rebuilt
+by the emitter and its fingerprint compared against the shared template,
+which catches an emission site that forgot to token a structural decision.
+
+The engine, the cache implementation and validate mode are all read from
+the environment (``REPRO_ENGINE``, ``REPRO_CACHE_IMPL``,
+``REPRO_INTERN_VALIDATE``) at machine construction, so each configuration
+builds its allocators inside the env context.  App-traffic modeling stays
+ON for the single-threaded grids — that is what routes the batched
+``touch_lines`` walk (fast) against the per-line reference loop, and the
+lazy ring hierarchy against both.
 """
 
 import os
@@ -39,24 +44,27 @@ from repro.workloads.base import Op, OpKind, Workload
 from repro.workloads.threads import balanced_churn
 
 #: (engine env value or None for the columnar default,
-#:  cache impl env value or None for the O(1) default,
-#:  intern_traces)
+#:  cache impl env value or None for the O(1) default)
 GRID = [
-    (None, None, True),
-    (None, None, False),
-    (None, "reference", True),
-    ("reference", None, True),
-    ("reference", None, False),
-    ("reference", "reference", True),
+    (None, None),
+    (None, "reference"),
+    ("reference", None),
+    ("reference", "reference"),
 ]
 
-_ENV_KEYS = ("REPRO_ENGINE", "REPRO_CACHE_IMPL")
+_ENV_KEYS = ("REPRO_ENGINE", "REPRO_CACHE_IMPL", "REPRO_INTERN_VALIDATE")
 
 
 @contextmanager
 def _engine_env(engine, impl):
+    """Select engine and cache implementation; the reference engine also
+    runs the interner in validate mode (columnar legs keep whatever
+    ``REPRO_INTERN_VALIDATE`` the caller set)."""
     saved = {k: os.environ.get(k) for k in _ENV_KEYS}
-    for key, value in (("REPRO_ENGINE", engine), ("REPRO_CACHE_IMPL", impl)):
+    settings = [("REPRO_ENGINE", engine), ("REPRO_CACHE_IMPL", impl)]
+    if engine == "reference":
+        settings.append(("REPRO_INTERN_VALIDATE", "1"))
+    for key, value in settings:
         if value is None:
             os.environ.pop(key, None)
         else:
@@ -98,37 +106,38 @@ def _hierarchy_state(machine):
 
 def _grid_replays(workload, allocator, num_ops):
     outs = []
-    for engine, impl, intern in GRID:
+    for engine, impl in GRID:
         with _engine_env(engine, impl):
-            alloc = allocator(intern_traces=intern)
+            alloc = allocator()
             result = run_workload(
                 alloc, workload.ops(seed=7, num_ops=num_ops), name=workload.name
             )
-        outs.append((engine, impl, intern, result, alloc))
+        outs.append((engine, impl, result, alloc))
     return outs
 
 
 def _assert_grid(workload, allocator, num_ops):
     outs = _grid_replays(workload, allocator, num_ops)
-    base = _observable(outs[0][3])
-    base_state = _hierarchy_state(outs[0][4].machine)
-    for engine, impl, intern, result, alloc in outs[1:]:
-        tag = f"engine={engine or 'columnar'} impl={impl or 'o1'} intern={intern}"
+    base = _observable(outs[0][2])
+    base_state = _hierarchy_state(outs[0][3].machine)
+    for engine, impl, result, alloc in outs[1:]:
+        tag = f"engine={engine or 'columnar'} impl={impl or 'o1'}"
         assert _observable(result) == base, tag
         assert _hierarchy_state(alloc.machine) == base_state, tag
+        if engine == "reference":
+            assert alloc.machine.interner.stats.validations > 0, tag
     # The default config must actually exercise the fast machinery.
-    fast = outs[0][4]
+    fast = outs[0][3]
     assert fast.machine.hierarchy._fast_demand
-    assert fast.machine.interner is not None
     assert fast.machine.interner.stats.hits > 0
     if allocator is make_baseline:
         # Compiles count each model's first use of a fused-twin shape; the
         # baseline's twins are guaranteed to serve a short replay.
         assert fast.machine.timing.columnar_compiles > 0
-    reference_impl = outs[2][4]
+    reference_impl = outs[1][3]
     assert not reference_impl.machine.hierarchy._fast
     # ... and the reference engine must stay on the object model.
-    reference_engine = outs[3][4]
+    reference_engine = outs[2][3]
     assert reference_engine.machine.timing.columnar_compiles == 0
     return outs
 
@@ -211,11 +220,11 @@ class TestMultithreaded:
         the reference emitter does."""
         workload = balanced_churn(4)
         outs = []
-        for engine, impl, intern in GRID:
+        for engine, impl in GRID:
             with _engine_env(engine, impl):
                 mt = MultiThreadAllocator(
                     4, coherent=coherent, accelerated=accelerated,
-                    switch_quantum_cycles=5000, intern_traces=intern,
+                    switch_quantum_cycles=5000,
                 )
                 result = run_multithreaded(
                     mt, workload.ops(seed=7, num_ops=1500), name=workload.name
@@ -372,9 +381,9 @@ class TestRefillTwins:
     def test_refill_torture_grid(self, allocator):
         outs = []
         twins = []
-        for engine, impl, intern in GRID:
+        for engine, impl in GRID:
             with _engine_env(engine, impl):
-                alloc = allocator(intern_traces=intern)
+                alloc = allocator()
                 if alloc._slowpath is not None:
                     alloc._slowpath = _CountingTwin(alloc._slowpath)
                 twins.append(alloc._slowpath)
@@ -383,12 +392,12 @@ class TestRefillTwins:
                     REFILL_TORTURE.ops(seed=11, num_ops=1400),
                     name=REFILL_TORTURE.name,
                 )
-            outs.append((engine, impl, intern, result, alloc))
-        base = _observable(outs[0][3])
-        base_state = _hierarchy_state(outs[0][4].machine)
-        base_refill = _refill_state(outs[0][4])
-        for engine, impl, intern, result, alloc in outs[1:]:
-            tag = f"engine={engine or 'columnar'} impl={impl or 'o1'} intern={intern}"
+            outs.append((engine, impl, result, alloc))
+        base = _observable(outs[0][2])
+        base_state = _hierarchy_state(outs[0][3].machine)
+        base_refill = _refill_state(outs[0][3])
+        for engine, impl, result, alloc in outs[1:]:
+            tag = f"engine={engine or 'columnar'} impl={impl or 'o1'}"
             assert _observable(result) == base, tag
             assert _hierarchy_state(alloc.machine) == base_state, tag
             assert _refill_state(alloc) == base_refill, tag
@@ -405,7 +414,7 @@ class TestRefillTwins:
         assert heap[2] > 0 and heap[3] > 0 and heap[5] > 0, "heap under-exercised"
         # ... and the columnar cells must have served it from the twin.
         assert twins[0] is not None and twins[0].served > 0
-        for (engine, _, _), twin in zip(GRID, twins):
+        for (engine, _), twin in zip(GRID, twins):
             if engine == "reference":
                 assert twin is None
 
@@ -472,13 +481,10 @@ class TestSampled:
         wl = MACRO_WORKLOADS["masstree.wcol1"]
         cfg = SamplingConfig(interval_ops=100, stride=4, warmup_ops=50)
         outs = []
-        for engine, impl, intern in GRID:
-            if not intern:
-                continue  # interning is orthogonal to the sampled planner
+        for engine, impl in GRID:
             with _engine_env(engine, impl):
                 c = compare_workload_sampled(wl, num_ops=2000, seed=11, sampling=cfg)
             outs.append(summarize_sampled_comparison(c))
-        assert len(outs) >= 3
         assert all(o == outs[0] for o in outs[1:])
 
 
@@ -534,19 +540,9 @@ class TestSweep:
     def test_sweep_cache_sizes(self):
         workload = MICROBENCHMARKS["tp_small"]
         curves = []
-        for engine, impl, intern in GRID:
+        for engine, impl in GRID:
             with _engine_env(engine, impl):
-                env_intern = os.environ.get("REPRO_TRACE_INTERN")
-                os.environ["REPRO_TRACE_INTERN"] = "1" if intern else "0"
-                try:
-                    r = sweep_cache_sizes(
-                        workload, sizes=(4, 16), num_ops=200, seed=3
-                    )
-                finally:
-                    if env_intern is None:
-                        os.environ.pop("REPRO_TRACE_INTERN", None)
-                    else:
-                        os.environ["REPRO_TRACE_INTERN"] = env_intern
+                r = sweep_cache_sizes(workload, sizes=(4, 16), num_ops=200, seed=3)
             curves.append((r.malloc_speedups, r.allocator_speedups, r.limit_speedup))
         assert all(c == curves[0] for c in curves[1:])
 
@@ -562,7 +558,7 @@ class TestEngineProvenance:
         for env_value, expected in ((None, ENGINE_COLUMNAR),
                                     ("reference", ENGINE_REFERENCE)):
             with _engine_env(env_value, None):
-                alloc = make_baseline(intern_traces=True)
+                alloc = make_baseline()
                 result = run_workload(
                     alloc, wl.ops(seed=7, num_ops=120), name=wl.name
                 )
@@ -577,7 +573,7 @@ class TestEngineProvenance:
         payloads = []
         for env_value in (None, "reference"):
             with _engine_env(env_value, None):
-                alloc = make_baseline(intern_traces=True)
+                alloc = make_baseline()
                 result = run_workload(
                     alloc, wl.ops(seed=7, num_ops=120), name=wl.name
                 )
@@ -604,7 +600,7 @@ class TestEngineProvenance:
 
         wl = MACRO_WORKLOADS["400.perlbench"]
         with _engine_env(None, None):
-            alloc = make_baseline(intern_traces=True)
+            alloc = make_baseline()
             prof = HotPathProfiler()
             run_workload(
                 alloc, wl.ops(seed=7, num_ops=200), name=wl.name, profiler=prof
@@ -619,7 +615,7 @@ class TestEngineProvenance:
 
         wl = MICROBENCHMARKS["tp_small"]
         with _engine_env("reference", None):
-            alloc = make_baseline(intern_traces=True)
+            alloc = make_baseline()
             prof = HotPathProfiler()
             run_workload(
                 alloc, wl.ops(seed=7, num_ops=150), name=wl.name, profiler=prof
@@ -645,13 +641,13 @@ class TestHashRandomization:
             "print(json.dumps(summarize_comparison(c), sort_keys=True))\n"
         )
         src_dir = str(Path(repro.__file__).resolve().parents[1])
-        stripped = ("REPRO_ENGINE", "REPRO_CACHE_IMPL", "REPRO_TRACE_INTERN")
+        stripped = ("REPRO_ENGINE", "REPRO_CACHE_IMPL")
         outs = set()
         for hashseed in ("0", "1", "271828"):
             for overrides in (
                 {},
                 {"REPRO_ENGINE": "reference"},
-                {"REPRO_CACHE_IMPL": "reference", "REPRO_TRACE_INTERN": "0"},
+                {"REPRO_CACHE_IMPL": "reference"},
                 {"REPRO_ENGINE": "reference", "REPRO_CACHE_IMPL": "reference"},
             ):
                 env = {
@@ -676,7 +672,7 @@ class TestValidateMode:
         saved = os.environ.get("REPRO_INTERN_VALIDATE")
         os.environ["REPRO_INTERN_VALIDATE"] = "1"
         try:
-            alloc = make_baseline(intern_traces=True)
+            alloc = make_baseline()
             run_workload(
                 alloc,
                 MACRO_WORKLOADS["400.perlbench"].ops(seed=7, num_ops=250),

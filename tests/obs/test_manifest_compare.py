@@ -42,9 +42,9 @@ class TestManifest:
     def test_collect_captures_env_knobs(self, monkeypatch):
         for knob in ENV_KNOBS:
             monkeypatch.delenv(knob, raising=False)
-        monkeypatch.setenv("REPRO_TRACE_INTERN", "0")
+        monkeypatch.setenv("REPRO_INTERN_VALIDATE", "1")
         m = collect_manifest({"entry": "test"}, seed=9, alloc="baseline")
-        assert m.env == (("REPRO_TRACE_INTERN", "0"),)
+        assert m.env == (("REPRO_INTERN_VALIDATE", "1"),)
         assert m.seed == 9
         assert dict(m.extra)["alloc"] == "baseline"
         assert dict(m.config)["entry"] == '"test"'

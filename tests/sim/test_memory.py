@@ -1,5 +1,7 @@
 """Tests for simulated memory and the virtual address space."""
 
+import random
+
 import pytest
 
 from repro.sim.memory import (
@@ -72,6 +74,46 @@ class TestSimulatedMemory:
         for i in range(5):
             mem.write_word(0x1000 + i * WORD_SIZE, i + 1)
         assert mem.words_written() == 5
+
+    @pytest.mark.parametrize("addr", [0, -8, 1, 7, 9, 4097, (1 << 40) + 4])
+    def test_faults_store_nothing(self, addr):
+        mem = SimulatedMemory()
+        with pytest.raises(MemoryError_):
+            mem.read_word(addr)
+        with pytest.raises(MemoryError_):
+            mem.write_word(addr, 1)
+        assert mem.words_written() == 0
+
+    def test_unwritten_reads_store_nothing(self):
+        mem = SimulatedMemory()
+        for addr in (8, 1 << 20, 1 << 44):
+            assert mem.read_word(addr) == 0
+        assert mem.words_written() == 0
+
+    def test_zero_write_to_fresh_address_stores_nothing(self):
+        mem = SimulatedMemory()
+        mem.write_word(0x2000, 7)
+        mem.write_word(1 << 20, 0)
+        assert mem.words_written() == 1
+        assert mem.read_word(1 << 20) == 0
+
+    def test_census_matches_model_under_churn(self):
+        """Overwrites, zeroings and re-writes keep ``words_written`` equal
+        to the number of nonzero words, and every read exact."""
+        rng = random.Random(1234)
+        mem, model = SimulatedMemory(), {}
+        addrs = [(1 << 30) + 8 * rng.randrange(4096) for _ in range(200)]
+        for _ in range(3000):
+            addr = rng.choice(addrs)
+            if rng.random() < 0.3:
+                assert mem.read_word(addr) == model.get(addr, 0)
+            else:
+                value = rng.choice([0, 0, 1, 7, 1 << 63, (1 << 64) - 8])
+                mem.write_word(addr, value)
+                model[addr] = value
+        assert mem.words_written() == sum(1 for v in model.values() if v)
+        for addr in addrs:
+            assert mem.read_word(addr) == model.get(addr, 0)
 
 
 class TestVirtualAddressSpace:

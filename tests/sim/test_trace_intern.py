@@ -1,10 +1,8 @@
 """Unit tests for the emission-side intern table (TraceInterner)."""
 
-import os
-
 import pytest
 
-from repro.sim.trace_intern import TraceInterner, interner_from_env
+from repro.sim.trace_intern import TraceInterner
 from repro.sim.uop import FingerprintKey, Tag, TraceBuilder, UopKind
 
 
@@ -137,13 +135,16 @@ class TestStats:
 
 class TestEnvGating:
     def test_default_is_enabled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE_INTERN", raising=False)
-        assert isinstance(interner_from_env(), TraceInterner)
+        """Every machine interns and runs on the one sparse memory model,
+        under both engines."""
+        from repro.alloc.context import Machine
+        from repro.sim.memory import SimulatedMemory
 
-    @pytest.mark.parametrize("flag", ["0", "off", "false", "no", " OFF "])
-    def test_disabled_values(self, monkeypatch, flag):
-        monkeypatch.setenv("REPRO_TRACE_INTERN", flag)
-        assert interner_from_env() is None
+        for engine in ("columnar", "reference"):
+            monkeypatch.setenv("REPRO_ENGINE", engine)
+            machine = Machine()
+            assert isinstance(machine.interner, TraceInterner)
+            assert type(machine.memory) is SimulatedMemory
 
     def test_validate_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_INTERN_VALIDATE", "1")

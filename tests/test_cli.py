@@ -10,6 +10,32 @@ def run_cli(capsys, *argv):
     return capsys.readouterr().out
 
 
+BAD_COUNTS = [
+    ("run", "tp_small", "--ops", "0"),
+    ("run", "tp_small", "--ops", "-5"),
+    ("run", "tp_small", "--entries", "0"),
+    ("profile", "tp_small", "--ops", "0"),
+    ("sweep", "tp_small", "--sizes", "2,x"),
+    ("sweep", "tp_small", "--sizes", "0"),
+    ("matrix", "--workloads", "tp_small", "--sizes", "8,0", "--quiet"),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_COUNTS, ids=" ".join)
+def test_bad_count_is_usage_error(capsys, argv):
+    """Counts and cache sizes must be positive integers: a bad one is an
+    argparse usage error (exit 2, one error line), never a silent default,
+    a 0.0% result or a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert errors[0].startswith("python -m repro") and "argument --" in errors[0]
+
+
 class TestCli:
     def test_list(self, capsys):
         out = run_cli(capsys, "list")
@@ -80,10 +106,6 @@ class TestCli:
         payload = json.loads(out)
         assert set(payload["stages"]) >= {"replay", "emission", "build", "schedule"}
         assert payload["counters"]["calls"] > 0
-
-    def test_run_no_intern(self, capsys):
-        out = run_cli(capsys, "run", "tp_small", "--ops", "300", "--no-intern")
-        assert "disabled" in out
 
     def test_report(self, capsys, tmp_path):
         out_file = tmp_path / "results.md"
