@@ -141,11 +141,9 @@ class TCMalloc:
             # Columnar engine: attach the fused priced twins of this
             # allocator's fast paths and refill slow paths (None for
             # unregistered subclasses).
-            from repro.alloc.fastpath import fastpath_for
-            from repro.alloc.slowpath import slowpath_for
+            from repro.alloc.twins import twins_for
 
-            self._fastpath = fastpath_for(self)
-            self._slowpath = slowpath_for(self)
+            self._fastpath, self._slowpath = twins_for(self)
 
     # ------------------------------------------------------------------ malloc
     def malloc(self, size: int) -> tuple[int, CallRecord]:

@@ -73,6 +73,12 @@ def jemalloc_size_classes() -> tuple[list[int], list[int], list[int]]:
     return class_to_size, class_to_pages, class_to_move
 
 
+def size2index(size: int) -> int:
+    """jemalloc's size2index: the class-array index at 8-byte granularity
+    (one shift)."""
+    return (size + 7) >> 3
+
+
 class JemallocSizeClassTable(SizeClassTable):
     """The shared table type, populated with jemalloc's schedule."""
 
@@ -88,7 +94,7 @@ class JemallocSizeClassTable(SizeClassTable):
         for c in range(1, len(class_to_size)):
             upper = class_to_size[c]
             for s in range(next_size, upper + 1, 8):
-                class_array[(s + 7) >> 3] = c
+                class_array[size2index(s)] = c
             next_size = upper + 8
         class_array[0] = 1  # size 0..8 -> first class
         table = cls(
@@ -105,12 +111,12 @@ class JemallocSizeClassTable(SizeClassTable):
         return table
 
     def size_class_of(self, size: int) -> int:
-        return self.class_array[(size + 7) >> 3]
+        return self.class_array[size2index(size)]
 
     def emit_lookup(self, em: Emitter, size: int) -> LookupResult:
         """jemalloc's size2index: one shift-based index computation plus two
         dependent table loads — the same shape Mallacc accelerates."""
-        idx = (size + 7) >> 3
+        idx = size2index(size)
         shift = em.alu(tag=Tag.SIZE_CLASS)
         array_word = self.class_array_addr + (idx // 8) * 8
         cls_load = em.load_table(array_word, deps=(shift,), tag=Tag.SIZE_CLASS)

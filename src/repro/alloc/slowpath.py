@@ -13,25 +13,24 @@ the same for the *refill machinery* — the emission stacks behind
 Each twin executes the same primitive sequence as straight-line code —
 simulated memory reads/writes, hierarchy demand accesses, TLB walks, branch
 predictions, malloc-cache operations, lock bookkeeping — assembling the
-token and latency tuples directly, and interns the result via
-``interner.intern(site, tokens, latencies, materialize)``.
+token and latency tuples and one address per memory uop directly, and
+interns the result via ``interner.intern(site, tokens, latencies,
+materialize)``.
 
 Refill shapes are variable-length (batch moves, carve counts, probe chains),
-so unlike the fast paths their structures cannot be enumerated up front.
-Instead every data-dependent decision is a structural token (``("carve",
-n)``, ``("pm_probes", n)``, ``("release_at", i)``, ...), and the static
-structure is *compiled from the token stream* on first sight
-(:func:`compile_struct`), keyed by ``(site, tokens)`` in a process-wide
-:class:`~repro.sim.columns.StructStore`.  The size class and every count are
-inside the tokens, so one compiled structure serves every call of that
-shape; ``materialize`` runs only on an intern miss.
+so every data-dependent decision is a structural token (``("carve", n)``,
+``("pm_probes", n)``, ``("release_at", i)``, ...).  The static structure is
+compiled from the token stream by the compiler the fast-path twins use too
+(:func:`repro.alloc.twins.compile_struct`), once per process and only on an
+intern miss.  The size class and every count are inside the tokens, so one
+compiled structure serves every call of that shape.
 
 Cycle counts, runner statistics, cache/TLB/predictor state, lock/contention
 counters and every intern/trace-cache counter are bit-identical to the
 reference engine (held to by the differential grid in
 ``tests/integration/test_hot_path_differential.py``).
 
-Twins activate only under the columnar engine with interning on, and every
+Twins activate only under the columnar engine, and every
 fallback check is a pure read performed before the first mutation: fast
 shapes (the fast-path twin's domain), sampled calls, LARGE traffic, invalid
 arguments and inconsistent malloc-cache entries all return ``None`` so the
@@ -41,325 +40,25 @@ span over-fill) need no precheck: the twin performs the identical check at
 the identical point with identical prior mutations and raises the same
 exception.
 
-Registration is by exact allocator type (:func:`register_slowpath` /
-:func:`slowpath_for`), mirroring the fast-path registry.
+Twins are registered by exact allocator type in
+:func:`repro.alloc.twins.registry`.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
 
+from repro.alloc.allocator import Path
 from repro.alloc.constants import (
     K_MAX_DYNAMIC_FREE_LIST_LENGTH,
     K_MAX_PAGES,
     K_MIN_SYSTEM_ALLOC_PAGES,
     K_PAGE_SHIFT,
 )
-from repro.alloc.fastpath import _pagemap_words, _sz_commit, _sz_scan
 from repro.alloc.size_classes import class_index
 from repro.alloc.span import Span, SpanState
-from repro.sim.columns import StructBuilder, StructStore
+from repro.alloc.twins import finish, pagemap_words, sz_commit, sz_scan
 from repro.sim.memory import NULL
-from repro.sim.uop import Tag
-
-#: Process-wide compiled structures, keyed by (site, tokens).
-_STRUCTS = StructStore()
-
-
-# --------------------------------------------------------------------------
-# Token-stream structure compiler.
-#
-# A refill template's tokens pin its whole variable-length shape: branch
-# outcomes in emission order plus every note()-d count and mid-flight
-# decision.  The compiler walks the token tuple exactly as the emitting
-# code would have walked its control flow, replaying the uop record
-# sequence (kinds, dependence edges, tags, sequential address slots).
-# Count tokens are noted *after* their uops in the reference (pm_probes at
-# the end of a probe chain) but with no tokens in between, so consuming
-# them first is safe: only the uop record order and the token tuple order
-# must each match, not their interleaving.
-
-
-class _Template:
-    """Compiler state: a token cursor plus a StructBuilder with sequential
-    address-slot assignment and the Mallacc ordering register."""
-
-    __slots__ = ("toks", "i", "b", "order", "slot")
-
-    def __init__(self, tokens: tuple) -> None:
-        self.toks = tokens
-        self.i = 0
-        self.b = StructBuilder()
-        self.order: int | None = None
-        self.slot = 0
-
-    def take(self, name: str):
-        tok = self.toks[self.i] if self.i < len(self.toks) else None
-        if tok is None or tok[0] != name:
-            raise AssertionError(
-                f"refill template: expected {name!r} at token {self.i}, got {tok!r}"
-            )
-        self.i += 1
-        return tok[1]
-
-    def peek(self) -> str | None:
-        return self.toks[self.i][0] if self.i < len(self.toks) else None
-
-    def peek_tok(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def branch(self, name: str, deps: tuple = (), tag: Tag = Tag.ADDRESSING):
-        taken = self.take(name)
-        self.b.branch(deps, tag)
-        return taken
-
-    def ordered(self, deps: tuple) -> tuple:
-        if self.order is not None:
-            return tuple(dict.fromkeys(deps + (self.order,)))
-        return deps
-
-    def nload(self, deps: tuple = (), tag: Tag = Tag.ADDRESSING) -> int:
-        slot = self.slot
-        self.slot = slot + 1
-        return self.b.load(slot, deps, tag)
-
-    def nstore(self, deps: tuple = (), tag: Tag = Tag.ADDRESSING) -> int:
-        slot = self.slot
-        self.slot = slot + 1
-        return self.b.store(slot, deps, tag)
-
-    def nprefetch(self) -> int:
-        slot = self.slot
-        self.slot = slot + 1
-        return self.b.prefetch(slot)
-
-    def end(self) -> tuple:
-        if self.i != len(self.toks):
-            raise AssertionError(
-                f"refill template: {len(self.toks) - self.i} unconsumed tokens "
-                f"starting at {self.toks[self.i]!r}"
-            )
-        return self.b.done()
-
-
-def _sw_lookup(t: _Template) -> tuple[int, int]:
-    """The Figure 5 software size-class lookup: add, shift, two loads."""
-    b = t.b
-    add = b.alu((), Tag.SIZE_CLASS)
-    shift = b.alu((add,), Tag.SIZE_CLASS)
-    cls_uop = t.nload((shift,), Tag.SIZE_CLASS)
-    size_uop = t.nload((cls_uop,), Tag.SIZE_CLASS)
-    return cls_uop, size_uop
-
-
-def _compile_search(t: _Template, deps: tuple) -> None:
-    """PageHeap._search_free: a dependent chain of free-list probes."""
-    probe = None
-    for _ in range(t.take("pm_probes")):
-        probe = t.nload(deps if probe is None else (probe,), Tag.SLOW_PATH)
-
-
-def _compile_populate(t: _Template, deps: tuple) -> None:
-    """CentralFreeList._populate: allocate_span + carve stores."""
-    _compile_search(t, deps)
-    if t.take("pm_grow"):
-        t.b.fixed(deps, Tag.SLOW_PATH)  # the syscall, original deps
-        _compile_search(t, deps)
-    if t.take("pm_split"):
-        t.nstore((), Tag.SLOW_PATH)  # pagemap boundary rewrite
-    prev = None
-    for _ in range(t.take("carve")):
-        prev = t.nstore(deps if prev is None else (prev,), Tag.SLOW_PATH)
-
-
-def _compile_free_span(t: _Template) -> None:
-    """PageHeap.free_span: the pagemap store, then a possible OS release."""
-    t.nstore((), Tag.SLOW_PATH)
-    tok = t.peek_tok()
-    if tok is not None and tok[0] == "pm_madvise":
-        if t.take("pm_madvise"):
-            t.b.fixed((), Tag.SLOW_PATH)  # madvise
-
-
-def _compile_pop(t: _Template, deps: tuple, mallacc: bool) -> int:
-    """A thread-cache list pop; returns the uop consumers depend on
-    (PopResult.uop: the header load, or the mchdpop on a cache hit)."""
-    b = t.b
-    if not mallacc:
-        head = t.nload(deps, Tag.PUSH_POP)
-        nxt = t.nload((head,), Tag.PUSH_POP)
-        t.nstore((nxt,), Tag.PUSH_POP)
-        return head
-    u = b.mallacc(t.ordered(deps))
-    t.order = u
-    miss = t.branch("mchd_hit", (u,))
-    if miss:
-        head = t.nload((u,) + deps, Tag.PUSH_POP)
-        nxt = t.nload((head,), Tag.PUSH_POP)
-        t.nstore((nxt,), Tag.PUSH_POP)
-        ret = head
-    else:
-        result = u
-        if t.take("mchd_head_only"):
-            result = t.nload((u,), Tag.PUSH_POP)
-        t.nstore((result,), Tag.PUSH_POP)
-        ret = u
-    if t.take("nxtprefetch"):
-        t.order = t.nprefetch()
-    return ret
-
-
-def _compile_push(t: _Template, deps: tuple, mallacc: bool) -> int:
-    """A thread-cache list push; returns the uop the next push depends on."""
-    b = t.b
-    if not mallacc:
-        head = t.nload(deps, Tag.PUSH_POP)
-        t.nstore((head,), Tag.PUSH_POP)
-        t.nstore((head,), Tag.PUSH_POP)
-        return head
-    u = b.mallacc(t.ordered(deps))
-    t.order = u
-    if t.take("mchdpush_hit"):
-        t.nstore((u,), Tag.PUSH_POP)
-        t.nstore((u,), Tag.PUSH_POP)
-    else:
-        head = t.nload((u,) + deps, Tag.PUSH_POP)
-        t.nstore((head,), Tag.PUSH_POP)
-        t.nstore((head,), Tag.PUSH_POP)
-    return u
-
-
-def _compile_remove(t: _Template, num: int, deps: tuple) -> None:
-    """CentralFreeList.remove_range: lock, unpark-or-span-pops, unlock."""
-    b = t.b
-    lock = b.fixed(deps, Tag.SLOW_PATH)
-    if t.take("transfer_unpark"):
-        t.nload((lock,), Tag.SLOW_PATH)  # parked-batch descriptor
-        b.fixed((lock,), Tag.SLOW_PATH)
-        return
-    dep: tuple = (lock,)
-    k = 0
-    while k < num:
-        if t.peek_tok() == ("populate_at", k):
-            t.take("populate_at")
-            _compile_populate(t, dep)
-        dep = (t.nload(dep, Tag.SLOW_PATH),)  # span freelist pop
-        k += 1
-    b.fixed(dep, Tag.SLOW_PATH)
-
-
-def _compile_insert(t: _Template, num: int, deps: tuple) -> None:
-    """CentralFreeList.insert_range: lock, park-or-span-pushes, unlock."""
-    b = t.b
-    lock = b.fixed(deps, Tag.SLOW_PATH)
-    if t.take("transfer_park"):
-        t.nstore((lock,), Tag.SLOW_PATH)  # parked-batch descriptor
-        b.fixed((lock,), Tag.SLOW_PATH)
-        return
-    dep: tuple = (lock,)
-    for i in range(num):
-        dep = (t.nstore(dep, Tag.SLOW_PATH),)  # span freelist push
-        if t.peek_tok() == ("release_at", i):
-            t.take("release_at")
-            _compile_free_span(t)
-    b.fixed(dep, Tag.SLOW_PATH)
-
-
-def _compile_release(t: _Template, deps: tuple, mallacc: bool) -> None:
-    """ThreadCache._release_to_central: pops, then insert_range."""
-    n = t.take("tc_release")
-    dep = deps
-    for _ in range(n):
-        dep = (_compile_pop(t, dep, mallacc),)
-    if n:
-        _compile_insert(t, n, dep)
-
-
-def _compile_malloc(tokens: tuple) -> tuple:
-    """``malloc:central`` / ``malloc:page`` (they share one grammar; the
-    site only records which pool ultimately satisfied the call)."""
-    t = _Template(tokens)
-    b = t.b
-    for _ in range(6):
-        b.alu((), Tag.CALL_OVERHEAD)
-    if t.peek() == "sample_threshold":
-        counter = t.nload((), Tag.SAMPLING)
-        sub = b.alu((counter,), Tag.SAMPLING)
-        t.branch("sample_threshold", (sub,), Tag.SAMPLING)
-        t.nstore((sub,), Tag.SAMPLING)
-    t.take("sampled")
-    t.branch("malloc_is_small")
-    mallacc = t.peek() == "mcsz_hit"
-    if mallacc:
-        sz = b.mallacc()
-        if t.branch("mcsz_hit", (sz,)):
-            cls_uop, size_uop = _sw_lookup(t)
-            b.mallacc((size_uop,))
-        else:
-            cls_uop = size_uop = sz
-    else:
-        cls_uop, size_uop = _sw_lookup(t)
-    addr_uop = b.alu((cls_uop,))
-    t.branch("tc_list_empty", (addr_uop,))
-    num = t.take("central_remove")
-    _compile_remove(t, num, (addr_uop,))
-    dep: tuple = (addr_uop,)
-    for _ in range(num):
-        dep = (_compile_push(t, dep, mallacc),)
-    _compile_pop(t, (addr_uop,), mallacc)
-    meta = (addr_uop, size_uop)
-    len_uop = t.nload(meta, Tag.METADATA)
-    t.nstore((b.alu((len_uop,), Tag.METADATA),), Tag.METADATA)
-    sz_uop = t.nload(meta, Tag.METADATA)
-    t.nstore((b.alu((sz_uop,), Tag.METADATA),), Tag.METADATA)
-    for _ in range(5):
-        b.alu((), Tag.CALL_OVERHEAD)
-    return t.end()
-
-
-def _compile_free(tokens: tuple) -> tuple:
-    """``free:slow``: push, then ListTooLong release and/or scavenge."""
-    t = _Template(tokens)
-    b = t.b
-    for _ in range(6):
-        b.alu((), Tag.CALL_OVERHEAD)
-    sized = t.take("sized")
-    if sized:
-        mallacc = t.peek() == "mcsz_hit"
-        if mallacc:
-            sz = b.mallacc()
-            if t.branch("mcsz_hit", (sz,)):
-                lookup_uop, size_uop = _sw_lookup(t)
-                b.mallacc((size_uop,))
-            else:
-                lookup_uop = sz
-        else:
-            lookup_uop, _ = _sw_lookup(t)
-    else:
-        shift = b.alu((), Tag.SIZE_CLASS)
-        root = t.nload((shift,), Tag.SIZE_CLASS)
-        lookup_uop = t.nload((root,), Tag.SIZE_CLASS)
-        mallacc = t.peek() == "mchdpush_hit"
-    addr_uop = b.alu((lookup_uop,))
-    _compile_push(t, (addr_uop,), mallacc)
-    len_uop = t.nload((addr_uop,), Tag.METADATA)
-    t.nstore((b.alu((len_uop,), Tag.METADATA),), Tag.METADATA)
-    if t.branch("tc_list_too_long", (addr_uop,)):
-        _compile_release(t, (addr_uop,), mallacc)
-    while t.peek() == "scavenge_class":
-        t.take("scavenge_class")
-        _compile_release(t, (), mallacc)
-    for _ in range(5):
-        b.alu((), Tag.CALL_OVERHEAD)
-    return t.end()
-
-
-def compile_struct(site: str, tokens: tuple) -> tuple:
-    """Compile the static structure for one ``(site, tokens)`` template."""
-    if site == "free:slow":
-        return _compile_free(tokens)
-    return _compile_malloc(tokens)
-
 
 # --------------------------------------------------------------------------
 # The priced pass: per-call runtime state for a fused refill emission.
@@ -453,6 +152,10 @@ class _Pass:
         self.toks.append(tok)
 
 
+_PATH_CENTRAL = Path.CENTRAL
+_PATH_PAGE = Path.PAGE_ALLOC
+_PATH_FREE_SLOW = Path.FREE_SLOW
+
 _VETO = object()
 """Sentinel from the ``_pre_*`` hooks: fall back before any mutation."""
 
@@ -472,6 +175,8 @@ class TCMallocSlowPath:
     """
 
     __slots__ = ("alloc",)
+    #: size2index ALU count (TCMalloc's add and shift): the compiler flavour.
+    LOOKUP_ALUS = 2
 
     def __init__(self, alloc) -> None:
         self.alloc = alloc
@@ -536,8 +241,12 @@ class TCMallocSlowPath:
             site, path = "malloc:page", _PATH_PAGE
         else:
             site, path = "malloc:central", _PATH_CENTRAL
-        record = _finish(
-            a, m, prof, t_emit, site, p,
+        if prof is not None:
+            prof.add_stage("refill", perf_counter() - t_emit)
+            prof.count("refill_entries", p.segs)
+        record = finish(
+            a, m, prof, site, tuple(p.toks), tuple(p.lats), tuple(p.addrs),
+            self.LOOKUP_ALUS,
             kind="malloc", size=size, cl=cl, path=path, ptr=ptr, clock0=clock0,
         )
         return ptr, record
@@ -596,8 +305,12 @@ class TCMallocSlowPath:
         if tc.size_bytes >= config.max_thread_cache_size:
             self._scavenge(p, a)
         p.alus(5)
-        return _finish(
-            a, m, prof, t_emit, "free:slow", p,
+        if prof is not None:
+            prof.add_stage("refill", perf_counter() - t_emit)
+            prof.count("refill_entries", p.segs)
+        return finish(
+            a, m, prof, "free:slow", tuple(p.toks), tuple(p.lats), tuple(p.addrs),
+            self.LOOKUP_ALUS,
             kind="free", size=size, cl=cl, path=_PATH_FREE_SLOW, ptr=ptr,
             clock0=clock0,
         )
@@ -642,7 +355,7 @@ class TCMallocSlowPath:
             p.load_priced(table.class_array_addr + (class_index(sized_hint) // 8) * 8)
             p.load_priced(table.class_to_size_addr + cl * 8)
         else:
-            word0, word1 = _pagemap_words(a.page_heap, ptr)
+            word0, word1 = pagemap_words(a.page_heap, ptr)
             p.alu()
             p.load_priced(word0)
             p.load_priced(word1)
@@ -1069,7 +782,7 @@ class MallaccSlowPath(TCMallocSlowPath):
             a.pmu.accumulated += size
 
     def _pre_malloc_lookup(self, a, size: int, cl: int):
-        sentry = _sz_scan(a.isa.cache, size)
+        sentry = sz_scan(a.isa.cache, size)
         if sentry is not None and (
             sentry.size_class != cl
             or sentry.alloc_size != a.table.class_to_size[cl]
@@ -1080,7 +793,7 @@ class MallaccSlowPath(TCMallocSlowPath):
     def _emit_malloc_lookup(self, p: _Pass, a, size: int, cl: int, pre) -> None:
         cache = a.isa.cache
         sz_hit = pre is not None
-        _sz_commit(cache, pre)
+        sz_commit(cache, pre)
         p.fixed(cache.config.lookup_latency)
         p.branch("mcsz_hit", not sz_hit)
         if not sz_hit:
@@ -1095,7 +808,7 @@ class MallaccSlowPath(TCMallocSlowPath):
     def _pre_free_lookup(self, a, sized_hint, cl: int):
         if sized_hint is None:
             return None
-        sentry = _sz_scan(a.isa.cache, sized_hint)
+        sentry = sz_scan(a.isa.cache, sized_hint)
         if sentry is not None and sentry.size_class != cl:
             return _VETO
         return sentry
@@ -1106,7 +819,7 @@ class MallaccSlowPath(TCMallocSlowPath):
             return
         cache = a.isa.cache
         sz_hit = pre is not None
-        _sz_commit(cache, pre)
+        sz_commit(cache, pre)
         p.fixed(cache.config.lookup_latency)
         p.branch("mcsz_hit", not sz_hit)
         if not sz_hit:
@@ -1199,89 +912,3 @@ class MallaccSlowPath(TCMallocSlowPath):
         # by the previous push, so the run cannot be fused here.
         for ptr in ptrs:
             self._push(p, a, flist, cl, ptr)
-
-
-# --------------------------------------------------------------------------
-# Shared tail.
-
-
-def _finish(a, m, prof, t_emit, site, p, *, kind, size, cl, path, ptr, clock0):
-    """Twin of ``TCMalloc._finish``: intern, price, record, advance."""
-    tokens = tuple(p.toks)
-    lats = tuple(p.lats)
-    addrs = tuple(p.addrs)
-    if prof is not None:
-        t0 = perf_counter()
-        prof.add_stage("refill", t0 - t_emit)
-        prof.count("refill_entries", p.segs)
-    trace = m.interner.intern(
-        site, tokens, lats,
-        lambda: m.timing.materialize_columnar(
-            _STRUCTS.get_or_compile(site, tokens, compile_struct), addrs, lats
-        ),
-    )
-    if prof is not None:
-        t1 = perf_counter()
-    timing = m.timing
-    result = timing.run(trace)
-    ablations = a.ablations
-    if ablations:
-        ablated = {
-            name: timing.run_ablated(trace, tags).cycles
-            for name, tags in ablations.items()
-        }
-    else:
-        ablated = {}
-    if prof is not None:
-        t2 = perf_counter()
-        prof.add_stage("build", t1 - t0)
-        prof.add_stage("schedule", t2 - t1)
-        prof.count("calls")
-        prof.count("uops", len(trace))
-    record = _CallRecord(
-        kind=kind,
-        size=size,
-        size_class=cl,
-        path=path,
-        cycles=result.cycles,
-        num_uops=len(trace),
-        ptr=ptr,
-        clock=clock0,
-        sampled=False,
-        ablated=ablated,
-    )
-    m.advance(result.cycles)
-    if a.keep_records:
-        a.records.append(record)
-    a._post_schedule(trace, result)
-    return record
-
-
-# --------------------------------------------------------------------------
-# Registry: exact allocator type -> twin factory, mirroring the fast path.
-
-_REGISTRY: dict[type, type] = {}
-
-
-def register_slowpath(alloc_type: type, twin_type: type) -> None:
-    _REGISTRY[alloc_type] = twin_type
-
-
-def slowpath_for(alloc):
-    """The fused refill twin for ``alloc``, or None if its exact type has
-    none."""
-    twin_type = _REGISTRY.get(type(alloc))
-    return None if twin_type is None else twin_type(alloc)
-
-
-from repro.alloc.allocator import (  # noqa: E402  (cycle: allocator imports us lazily)
-    CallRecord as _CallRecord,
-    Path as _Path,
-    TCMalloc as _TCMalloc,
-)
-
-_PATH_CENTRAL = _Path.CENTRAL
-_PATH_PAGE = _Path.PAGE_ALLOC
-_PATH_FREE_SLOW = _Path.FREE_SLOW
-
-register_slowpath(_TCMalloc, TCMallocSlowPath)

@@ -620,7 +620,8 @@ def cmd_report(args: argparse.Namespace) -> None:
 
 
 def positive_int(text: str) -> int:
-    """argparse type for counts (``--ops``, ``--entries``): an integer >= 1."""
+    """argparse type for counts (``--ops``, ``--entries``, ``--cores``,
+    ``--interval-ops``, ``--stride``, ...): an integer >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -643,11 +644,11 @@ def _add_sampling_args(parser: argparse.ArgumentParser) -> None:
              "bootstrap CIs on every reported metric",
     )
     parser.add_argument(
-        "--interval-ops", type=int, default=200,
+        "--interval-ops", type=positive_int, default=200,
         help="measured ops per sampling interval (default 200)",
     )
     parser.add_argument(
-        "--stride", type=int, default=16,
+        "--stride", type=positive_int, default=16,
         help="systematic sampler: simulate every stride-th interval in "
              "detail (default 16)",
     )
@@ -821,11 +822,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulated seconds of arrivals (default 1.0)",
     )
     traffic.add_argument(
-        "--cores", type=int, default=4,
+        "--cores", type=positive_int, default=4,
         help="simulated cores sharing the central free lists (default 4)",
     )
     traffic.add_argument(
-        "--ops-per-request", type=int, default=24,
+        "--ops-per-request", type=positive_int, default=24,
         help="allocator ops per request session (default 24)",
     )
     traffic.add_argument("--entries", type=positive_int, default=32, help="malloc cache entries")
@@ -836,7 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
              "= 1000 cycles)",
     )
     traffic.add_argument(
-        "--sample-stride", type=int, default=None, metavar="K",
+        "--sample-stride", type=positive_int, default=None, metavar="K",
         help="long horizons: simulate every K-th measured request in "
              "detail, fast-forward the rest (bootstrap CI on totals)",
     )
@@ -881,11 +882,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="coordinate-descent rounds fanned out from the running front",
     )
     tune.add_argument(
-        "--interval-ops", type=int, default=200,
+        "--interval-ops", type=positive_int, default=200,
         help="sampled fitness: measured ops per interval (default 200)",
     )
     tune.add_argument(
-        "--stride", type=int, default=16,
+        "--stride", type=positive_int, default=16,
         help="sampled fitness: detail every stride-th interval (default 16)",
     )
     tune.add_argument(

@@ -293,12 +293,3 @@ class MallaccTCMalloc(MallaccFastPathMixin, TCMalloc):
             machine=machine, config=config, ablations=ablations, shared=shared
         )
         self._attach_mallacc(cache_config)
-
-
-# Columnar-engine fused twins for the exact MallaccTCMalloc type (subclasses
-# overriding emission hooks must register their own — see repro.alloc.fastpath).
-from repro.alloc.fastpath import MallaccFastPath, register_fastpath  # noqa: E402
-from repro.alloc.slowpath import MallaccSlowPath, register_slowpath  # noqa: E402
-
-register_fastpath(MallaccTCMalloc, MallaccFastPath)
-register_slowpath(MallaccTCMalloc, MallaccSlowPath)

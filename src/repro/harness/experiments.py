@@ -224,15 +224,6 @@ def summarize_comparison(c: WorkloadComparison) -> dict[str, float | int]:
 # ---------------------------------------------------------------------------
 # Sampled comparisons
 # ---------------------------------------------------------------------------
-#: Component order of the paired per-interval tuples fed to the bootstrap.
-_PAIRED_COMPONENTS = (
-    "b_alloc",
-    "b_malloc",
-    "b_limit_alloc",
-    "b_limit_malloc",
-    "m_alloc",
-    "m_malloc",
-)
 
 
 @dataclass

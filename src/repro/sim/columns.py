@@ -315,9 +315,10 @@ def removed_tag_mask(tags) -> int:
 # is everything about the trace except its latencies and concrete addresses —
 # a tuple of (kind, deps, addr_slot, tag) records, where ``addr_slot``
 # indexes the per-call address tuple the twin assembles (None for uops
-# without an address).  One structure serves every call of that shape;
-# together with a latency tuple it materializes into a Trace with the same
-# fingerprint the TraceBuilder would have produced.
+# without an address).  ``repro.alloc.twins.compile_struct`` builds one
+# structure per interned template from its tokens, and it serves every call
+# of that shape; together with a latency tuple it materializes into a Trace
+# with the same fingerprint the TraceBuilder would have produced.
 
 
 class StructBuilder:
@@ -353,22 +354,6 @@ class StructBuilder:
 
     def done(self) -> tuple:
         return tuple(self.rec)
-
-
-def materialize_struct(struct: tuple, addrs, lats) -> Trace:
-    """Rebuild the full Trace for an intern miss (or validate mode)."""
-    uops = [
-        Uop(kind, deps, None if slot is None else addrs[slot], lats[i], tag)
-        for i, (kind, deps, slot, tag) in enumerate(struct)
-    ]
-    trace = Trace(uops=uops)
-    trace._fingerprint = tuple(
-        [
-            (rec[0]._value_, lats[i], rec[1], rec[3]._value_)
-            for i, rec in enumerate(struct)
-        ]
-    )
-    return trace
 
 
 class StructTrace(Trace):
@@ -460,9 +445,9 @@ def compile_struct_columns(struct: tuple) -> tuple:
 
 
 #: Process-wide static column templates, keyed by structure id.  Structures
-#: are immortal (fast-path module constants and the process-wide
-#: :class:`StructStore` never evict), and each entry pins its structure
-#: tuple anyway, so ids stay valid.
+#: are immortal (the twins' process-wide store, ``repro.alloc.twins``, never
+#: evicts), and each entry pins its structure tuple anyway, so ids stay
+#: valid.
 _STRUCT_STATIC: dict[int, tuple] = {}
 
 
@@ -493,32 +478,3 @@ def materialize_struct_columns(static: tuple, struct, addrs, lats) -> Trace:
         [(part[0], lat, part[1], part[2]) for part, lat in zip(fp_parts, lats)]
     )
     return trace
-
-
-class StructStore:
-    """Compiled structures for *parameterized* (variable-length) shapes.
-
-    Fast-path shapes are enumerable, so :mod:`repro.alloc.fastpath` builds
-    its structures eagerly.  Refill shapes are parameterized by size class
-    and data-dependent counts (batch moves, span carving, free-list probes);
-    every such parameter is a structural token, so the template is keyed by
-    the instance-independent ``(site, tokens)`` pair — the counts and the
-    size class are *inside* the tokens — and compiled from the token stream
-    on first sight by a site-specific compiler.  Structures are pure
-    functions of the key, so one process-wide store serves every machine.
-    """
-
-    __slots__ = ("_structs", "compiled")
-
-    def __init__(self) -> None:
-        self._structs: dict[tuple, tuple] = {}
-        self.compiled = 0
-
-    def get_or_compile(self, site: str, tokens: tuple, compiler) -> tuple:
-        key = (site, tokens)
-        struct = self._structs.get(key)
-        if struct is None:
-            struct = compiler(site, tokens)
-            self._structs[key] = struct
-            self.compiled += 1
-        return struct

@@ -16,6 +16,7 @@ import pytest
 
 from repro.alloc.allocator import Path, TCMalloc
 from repro.alloc.debug import POISON, DebugAllocator
+from repro.alloc.jemalloc import Jemalloc
 from repro.core.accel_allocator import MallaccTCMalloc
 
 
@@ -101,14 +102,14 @@ class TestTwinCoverage:
                     assert view._slowpath is not None, (executor, kind)
 
     def test_every_tcmalloc_type_is_twinned_or_exempt(self):
-        from repro.alloc import fastpath, jemalloc, slowpath
+        from repro.alloc import jemalloc, twins
 
         jemalloc.make_mallacc_jemalloc()  # defines the lazy class
+        registry = twins.registry()
         for cls in (TCMalloc, *_repro_subclasses(TCMalloc)):
+            fast, slow = registry.get(cls, (None, None))
             missing = {
-                kind for kind, registry in (
-                    ("fast", fastpath._REGISTRY), ("slow", slowpath._REGISTRY)
-                ) if cls not in registry
+                kind for kind, twin in (("fast", fast), ("slow", slow)) if twin is None
             }
             assert missing == UNTWINNED.get(cls.__name__, set()), cls.__qualname__
 
@@ -165,11 +166,13 @@ class TestFallbacks:
                 messages[engine] = str(exc.value)
         assert messages[None] == messages["reference"]
 
-    def test_twin_records_match_reference(self):
+    @pytest.mark.parametrize("alloc_type", [TCMalloc, MallaccTCMalloc, Jemalloc],
+                             ids=lambda t: t.__name__)
+    def test_twin_records_match_reference(self, alloc_type):
         outs = {}
         for engine in (None, "reference"):
             with _engine(engine):
-                outs[engine] = _churn(TCMalloc())
+                outs[engine] = _churn(alloc_type())
         assert outs[None] == outs["reference"]
         # The churn must actually exercise both fast paths under columnar.
         paths = {p for _, _, p in outs[None]}

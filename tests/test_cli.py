@@ -18,6 +18,15 @@ BAD_COUNTS = [
     ("sweep", "tp_small", "--sizes", "2,x"),
     ("sweep", "tp_small", "--sizes", "0"),
     ("matrix", "--workloads", "tp_small", "--sizes", "8,0", "--quiet"),
+    ("run", "tp_small", "--sample", "--interval-ops", "0"),
+    ("run", "tp_small", "--sample", "--stride", "0"),
+    ("matrix", "--workloads", "tp_small", "--sample", "--interval-ops", "0"),
+    ("matrix", "--workloads", "tp_small", "--sample", "--stride", "-1"),
+    ("tune", "tp_small", "--interval-ops", "0"),
+    ("tune", "tp_small", "--stride", "0"),
+    ("traffic", "tp_small", "--cores", "0"),
+    ("traffic", "tp_small", "--ops-per-request", "0"),
+    ("traffic", "tp_small", "--sample-stride", "0"),
 ]
 
 
